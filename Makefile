@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench-steady bench bench-stats bench-paper
+.PHONY: all check fmt vet build test race loc bench-steady bench bench-stats bench-paper
 
 all: check
 
@@ -25,9 +25,28 @@ test:
 
 ## race: race-detector pass on the runtime, the semisort core, sampling +
 ## distribution, the collect-reduce + relational terminal ops, the arena
-## key plane, the streaming front end, and the stats plane
+## key plane, the streaming front end, and the stats plane.
+## internal/chaos is the fault-injection harness: panics and cancels on
+## shared runtimes from many goroutines — exactly the interleavings the
+## race detector exists for. internal/stream adds the batcher's
+## producer/flusher/Close interleavings. internal/strkey covers the arena
+## key plane's parallel Build and pooled-buffer recycling. internal/obs
+## covers the counter-shard sink's concurrent flushers and the registry's
+## concurrent snapshots. The root package rides along for the call-guard,
+## pipeline, and streaming-state fault paths.
 race:
 	$(GO) test -race ./internal/parallel ./internal/core ./internal/sampling ./internal/dist ./internal/collect ./internal/rel ./internal/strkey ./internal/chaos ./internal/stream ./internal/obs .
+
+## loc: the size numbers every PR reports — non-test and test Go lines
+## (perfbench/ and dot-directories excluded) and exported funcs/methods in
+## the root package and in internal/dist
+GO_FILES = find . \( -path './.*' -o -path ./perfbench \) -prune -o -name '*.go'
+EXPORTED = grep -h '^func \(([^)]*) \)\?[A-Z]'
+loc:
+	@echo "non-test Go lines:                    $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:                        $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "exported funcs/methods, root:         $$(ls *.go | grep -v '_test\.go$$' | xargs $(EXPORTED) | wc -l)"
+	@echo "exported funcs/methods, internal/dist: $$(ls internal/dist/*.go | grep -v '_test\.go$$' | xargs $(EXPORTED) | wc -l)"
 
 ## bench-steady: steady-state allocation benchmark (see EXPERIMENTS.md)
 bench-steady:

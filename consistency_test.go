@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	semisort "repro"
-	"repro/internal/dist"
 	"repro/internal/parallel"
 )
 
@@ -62,30 +61,26 @@ func TestPrimitivesAgree(t *testing.T) {
 	}
 }
 
-// TestBufferedScatterConsistency: with the software write buffers forced
-// on, a fixed seed must still produce byte-identical output at every
-// GOMAXPROCS level, and identical to the unbuffered scatter's output — the
-// staging lanes change only the order of stores, never a destination.
-func TestBufferedScatterConsistency(t *testing.T) {
+// TestSortPairsEqIdenticalAcrossWorkers: a fixed seed must produce
+// byte-identical SortPairsEq output at every worker count — the parallel
+// scatter's exact offsets fix every destination regardless of scheduling.
+func TestSortPairsEqIdenticalAcrossWorkers(t *testing.T) {
 	n := 1 << 18 // above the serial cutoff, so the parallel scatter runs
 	rng := rand.New(rand.NewSource(99))
 	in := make([]semisort.Pair[uint64, uint64], n)
 	for i := range in {
 		in[i] = semisort.Pair[uint64, uint64]{Key: uint64(rng.Intn(1 << 12)), Value: uint64(i)}
 	}
-	run := func(workers int, buffered bool) []semisort.Pair[uint64, uint64] {
+	run := func(workers int) []semisort.Pair[uint64, uint64] {
 		defer parallel.SetWorkers(parallel.SetWorkers(workers))
-		defer dist.SetScatterBuffering(dist.SetScatterBuffering(buffered))
 		out := append([]semisort.Pair[uint64, uint64](nil), in...)
 		semisort.SortPairsEq(out, semisort.Hash64, semisort.WithSeed(5))
 		return out
 	}
-	ref := run(1, false)
+	ref := run(1)
 	for _, workers := range []int{1, 4, parallel.Workers()} {
-		for _, buffered := range []bool{false, true} {
-			if got := run(workers, buffered); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("output differs at workers=%d buffered=%v", workers, buffered)
-			}
+		if got := run(workers); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("output differs at workers=%d", workers)
 		}
 	}
 }

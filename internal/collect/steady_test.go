@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/israce"
 )
 
 // The arena-backed output accumulation makes repeated Reduce calls
@@ -17,7 +18,7 @@ import (
 
 func steadyAllocBound(t *testing.T, name string, keys []uint64, bound float64) {
 	t.Helper()
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
 	}
 	run := func() {

@@ -18,16 +18,16 @@ import (
 // paper's chained hash table (one random cache-missing probe per record
 // into a table of 2n slots) it keeps splitting by fresh windows of the
 // cached hash — serial, stable, streaming counting sorts via
-// dist.SerialFilled8Into, whose byte-wide id plane covers the 256-way
+// dist.SerialFilledInto with a byte-wide id plane, which covers the 256-way
 // splits — until groups are tiny, then groups each leaf with a linear
 // representative scan gated by full-hash equality. The user closures are
 // untouched on collision-free inputs: hashes come from the cache, and eq
 // (with its key extractions) runs only when two full 64-bit hashes agree.
 
 // eqSplitBits caps how many cached-hash bits one base-case split consumes
-// (256-way: exactly the byte-wide id-cache specialization of SerialInto).
-// Small buckets consume fewer bits so the per-split fixed costs (counters,
-// prefix, leaf dispatch) stay proportional to the bucket.
+// (256-way: exactly what the byte-wide id plane of dist.SerialFilledInto
+// holds). Small buckets consume fewer bits so the per-split fixed costs
+// (counters, prefix, leaf dispatch) stay proportional to the bucket.
 const eqSplitBits = 8
 
 // eqTinyCutoff is the group size below which splitting stops and the leaf
@@ -103,7 +103,7 @@ func (s *sorter[R, K]) groupEq(a []R, ha []uint64, b []R, hb []uint64, bitpos ui
 	startsBuf := parallel.GetBuf[int](s.sc, nBk+1)
 	// Byte-wide id-plane split: the fill loop classifies every record in
 	// one closure-free pass (baseBits inlines), the engine replays.
-	starts := dist.SerialFilled8Into(s.sc, a, b, ha, hb, nBk, nBk,
+	starts := dist.SerialFilledInto(s.sc, a, b, ha, hb, nBk, nBk,
 		func(ids []uint8, counts []int32) {
 			ids = ids[:len(ha)]
 			for i := range ha {

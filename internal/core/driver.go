@@ -676,68 +676,29 @@ func (d *Driver[R, K]) classify(cur []R, hcur []uint64, ids []uint16, counts []i
 }
 
 // DistributeLevel runs the sorter's Blocked Distributing step (cur ->
-// other, hcur -> hother) through the id plane: the fused classify sweep
-// fills ids and counts, the dist engine prefixes and replays. All
-// NLight+NH buckets are scattered — starts must have NLight+NH+1 entries;
-// bucket j occupies other[starts[j]:starts[j+1]] afterwards — and the hash
-// plane is carried for light buckets only (heavy buckets are final and
-// never re-read their hashes: the hLive dead suffix).
+// other, hcur -> hother) through the id plane: AbsorbLevel with no absorb
+// sink. All NLight+NH buckets are scattered — starts must have NLight+NH+1
+// entries; bucket j occupies other[starts[j]:starts[j+1]] afterwards — and
+// the hash plane is carried for light buckets only (heavy buckets are final
+// and never re-read their hashes: the hLive dead suffix).
 func (d *Driver[R, K]) DistributeLevel(lv *Level[K], cur, other []R, hcur, hother []uint64,
 	hashed bool, bitDepth int, starts []int) []int {
-	if d.sink == nil && !obs.ProfileLabelsOn() {
-		return d.distributeLevel(lv, cur, other, hcur, hother, hashed, bitDepth, starts)
-	}
-	var t0 time.Time
-	if d.sink != nil {
-		t0 = time.Now()
-	}
-	var out []int
-	if obs.ProfileLabelsOn() {
-		obs.Labeled("", "distribute", obs.LevelLabel(bitDepth), func() {
-			out = d.distributeLevel(lv, cur, other, hcur, hother, hashed, bitDepth, starts)
-		})
-	} else {
-		out = d.distributeLevel(lv, cur, other, hcur, hother, hashed, bitDepth, starts)
-	}
-	if d.sink != nil {
-		// Derived from the prefix array, never counted per record: every
-		// record scattered; the hash plane is carried for the light prefix
-		// only (heavy buckets are final — the hLive dead suffix).
-		n := int64(len(cur))
-		d.sink.Sweep(n, 0, dist.SweepBytes(d.recBytes, n, int64(out[lv.NLight])),
-			time.Since(t0).Nanoseconds())
-	}
-	return out
+	return d.AbsorbLevel(lv, cur, hcur, hashed, bitDepth, starts, nil,
+		func(int) ([]R, []uint64) { return other, hother })
 }
 
-// distributeLevel is DistributeLevel's body, split out so the instrumented
-// wrapper can time and label it without touching the uninstrumented path.
-func (d *Driver[R, K]) distributeLevel(lv *Level[K], cur, other []R, hcur, hother []uint64,
-	hashed bool, bitDepth int, starts []int) []int {
-	n := len(cur)
-	ht, sampled, collapsed := lv.ht, lv.sampled, lv.Collapsed
-	nB := lv.NLight + lv.NH
-	if lv.Serial {
-		return dist.SerialFilledInto(d.sc, cur, other, hcur, hother, nB, lv.NLight,
-			func(ids []uint16, counts []int32) {
-				d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, 0, n, bitDepth, nil)
-			}, starts)
-	}
-	return dist.StableFilledInto(d.rt, cur, other, hcur, hother, nB, d.l, lv.NLight,
-		func(lo, hi int, ids []uint16, counts []int32) {
-			d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, lo, hi, bitDepth, nil)
-		}, starts)
-}
-
-// AbsorbLevel is the collect family's distribution step: heavy records are
-// consumed by the absorb sink during the one fused classify sweep (see
-// classify) and never moved; only the NLight light buckets are scattered —
-// starts must have NLight+1 entries — every survivor carrying its cached
-// hash. cur and hcur are read, never written (beyond the top level's lazy
-// hash-plane fill), so the top-level caller may pass its immutable input
-// directly. dest(kept) supplies the right-sized destination once the
-// survivor count is exact (see dist.StableAbsorbInto): under heavy skew the
-// level's scatter buffer is O(survivors), not O(n).
+// AbsorbLevel is the one level-scatter step of every terminal op: the fused
+// classify sweep fills ids and counts, the dist engine prefixes and
+// replays. With an absorb sink (the collect family) heavy records are
+// consumed by the sink during the sweep (see classify) and never moved;
+// only the NLight light buckets are scattered — starts must have NLight+1
+// entries — every survivor carrying its cached hash. cur and hcur are read,
+// never written (beyond the top level's lazy hash-plane fill), so the
+// top-level caller may pass its immutable input directly. dest(kept)
+// supplies the right-sized destination once the survivor count is exact
+// (see dist.StableAbsorbInto): under heavy skew the level's scatter buffer
+// is O(survivors), not O(n). With a nil sink every record is scattered (see
+// DistributeLevel).
 func (d *Driver[R, K]) AbsorbLevel(lv *Level[K], cur []R, hcur []uint64,
 	hashed bool, bitDepth int, starts []int,
 	absorb func(sub, hid, j int), dest func(kept int) ([]R, []uint64)) []int {
@@ -750,17 +711,23 @@ func (d *Driver[R, K]) AbsorbLevel(lv *Level[K], cur []R, hcur []uint64,
 	}
 	var out []int
 	if obs.ProfileLabelsOn() {
-		obs.Labeled("", "absorb", obs.LevelLabel(bitDepth), func() {
+		phase := "distribute"
+		if absorb != nil {
+			phase = "absorb"
+		}
+		obs.Labeled("", phase, obs.LevelLabel(bitDepth), func() {
 			out = d.absorbLevel(lv, cur, hcur, hashed, bitDepth, starts, absorb, dest)
 		})
 	} else {
 		out = d.absorbLevel(lv, cur, hcur, hashed, bitDepth, starts, absorb, dest)
 	}
 	if d.sink != nil {
-		// kept light survivors scattered (records + carried hashes); the
-		// rest were consumed in place by the absorb sink.
-		kept := int64(out[lv.NLight])
-		d.sink.Sweep(kept, int64(len(cur))-kept, dist.SweepBytes(d.recBytes, kept, kept),
+		// Derived once from the prefix array, never counted per record:
+		// the survivors were scattered, the rest consumed in place by the
+		// sink, and the hash plane carried for the light prefix only.
+		scattered := int64(out[len(out)-1])
+		d.sink.Sweep(scattered, int64(len(cur))-scattered,
+			dist.SweepBytes(d.recBytes, scattered, int64(out[lv.NLight])),
 			time.Since(t0).Nanoseconds())
 	}
 	return out
@@ -773,13 +740,17 @@ func (d *Driver[R, K]) absorbLevel(lv *Level[K], cur []R, hcur []uint64,
 	absorb func(sub, hid, j int), dest func(kept int) ([]R, []uint64)) []int {
 	n := len(cur)
 	ht, sampled, collapsed := lv.ht, lv.sampled, lv.Collapsed
+	nB := lv.NLight
+	if absorb == nil {
+		nB += lv.NH // the sorter scatters heavy records to final buckets
+	}
 	if lv.Serial {
-		return dist.SerialAbsorbInto(d.sc, cur, hcur, lv.NLight,
+		return dist.SerialAbsorbInto(d.sc, cur, hcur, nB, lv.NLight,
 			func(ids []uint16, counts []int32) {
 				d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, 0, n, bitDepth, absorb)
 			}, starts, dest)
 	}
-	return dist.StableAbsorbInto(d.rt, cur, hcur, lv.NLight, d.l,
+	return dist.StableAbsorbInto(d.rt, cur, hcur, nB, d.l, lv.NLight,
 		func(lo, hi int, ids []uint16, counts []int32) {
 			d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, lo, hi, bitDepth, absorb)
 		}, starts, dest)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/israce"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -24,7 +25,7 @@ func steadyInput(n int) []rec {
 }
 
 func TestSortEqSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	n := 1 << 16
@@ -43,7 +44,7 @@ func TestSortEqSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSortEqSteadyStateAllocsHeavyKeys(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	// Heavy inputs additionally build a (small, escaping) heavy table per
@@ -64,7 +65,7 @@ func TestSortEqSteadyStateAllocsHeavyKeys(t *testing.T) {
 }
 
 func TestSortEqSteadyStateAllocsZipf(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	// Zipfian inputs build a heavy table per recursion level (plus collapsed
@@ -114,7 +115,7 @@ func TestExplicitRuntimeSharedAcrossCalls(t *testing.T) {
 }
 
 func TestInPlaceSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	n := 1 << 15
@@ -133,7 +134,7 @@ func TestInPlaceSteadyStateAllocs(t *testing.T) {
 }
 
 func TestStatsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	// The stats plane's two-sided allocation contract: with WithStats

@@ -134,9 +134,9 @@ func TestAbsorbEnginesMatchReference(t *testing.T) {
 				}
 			}
 			if tc.parallelE {
-				StableAbsorbInto(nil, src, hsrcArg, tc.nB, tc.l, fillChunk, starts, dest)
+				StableAbsorbInto(nil, src, hsrcArg, tc.nB, tc.l, tc.nB, fillChunk, starts, dest)
 			} else {
-				SerialAbsorbInto(nil, src, hsrcArg, tc.nB, func(ids []uint16, counts []int32) {
+				SerialAbsorbInto(nil, src, hsrcArg, tc.nB, tc.nB, func(ids []uint16, counts []int32) {
 					fillChunk(0, tc.n, ids, counts)
 				}, starts, dest)
 			}
@@ -186,7 +186,7 @@ func TestAbsorbSourceNeverWritten(t *testing.T) {
 	dest := func(kept int) ([]absRec, []uint64) {
 		return make([]absRec, kept), make([]uint64, kept)
 	}
-	StableAbsorbInto(nil, src, hs, nB, 512, func(lo, hi int, ids []uint16, row []int32) {
+	StableAbsorbInto(nil, src, hs, nB, 512, nB, func(lo, hi int, ids []uint16, row []int32) {
 		for j := lo; j < hi; j++ {
 			b := absorbClassify(hs[j], nB, 2)
 			ids[j-lo] = b

@@ -2,8 +2,6 @@ package dist
 
 import (
 	"math"
-	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/parallel"
 )
@@ -18,25 +16,33 @@ import (
 // and the output is stable: records of the same bucket keep their input
 // order.
 //
-// The engine is shared by the semisort core, the samplesort baseline, and
-// the stable radix-sort baseline. All transient state (the cached bucket
-// ids, the counting matrix, the column totals, the write-buffer lanes)
-// comes from the runtime's Scratch arena, so repeated calls are
-// allocation-free in steady state; the *Into variants additionally let the
-// caller own the starts array.
+// It is one engine with a parallel body (distribute) and a serial body
+// (distributeSerial) for cache-resident subproblems, both ending in one
+// scatter loop. The caller owns the counting pass: its fill function
+// classifies every record into a pooled id plane and counts it, so the
+// classifier (semisort's user hash, single heavy probe and light-id
+// extraction) runs exactly once per record; the engine prefixes the counts
+// and replays the ids. Three extensions serve the semisort hot path:
 //
-// Two orthogonal extensions serve the semisort hot path:
+//   - A per-record uint64 side array (semisort's cached user hash) moves
+//     with the records, so deeper recursion levels never recompute it.
+//     Buckets at or above hLive skip it: they are final (semisort's heavy
+//     buckets) and never re-read their hashes — the hLive dead suffix.
+//   - A fill pass may absorb a record: consume it itself (collect-reduce
+//     folds its value into a per-subarray accumulator right there) and
+//     write an id >= nB, such as the Absorbed sentinel. Absorbed records
+//     are neither counted nor moved, and since they need no room the
+//     destination is sized by the caller's dest(kept) once the survivor
+//     count is exact — under heavy skew a level's scatter buffer is
+//     O(survivors), not O(n).
+//   - All transient state (the id plane, the counting matrix, the column
+//     totals) comes from the runtime's Scratch arena, so repeated calls are
+//     allocation-free in steady state, and callers own starts.
 //
-//   - The *Keyed variants carry a per-record uint64 alongside each record
-//     (semisort's cached user hash) and permute it with the same cached ids
-//     and exact offsets, so deeper recursion levels never recompute it.
-//   - When a bucket's worth of staging fits the cache budget, the parallel
-//     scatter stages records in per-participant, per-bucket blocks of
-//     roughly two cache lines (IPS4o-style software write buffers) and
-//     flushes full blocks with a single streaming copy, converting one
-//     random cache-missing write per record into dense line writes. The
-//     counting matrix still supplies exact destinations, so stability and
-//     determinism are unchanged.
+// Entry points: StableFilledInto/SerialFilledInto scatter into a
+// caller-owned mirror of src; StableAbsorbInto/SerialAbsorbInto size the
+// destination through dest; Stable/Serial are the baselines' closure
+// wrappers (bucketOf called once per record during counting).
 
 // MaxLen is the largest supported input length. Offsets are kept in 32-bit
 // cells so the counting matrix stays compact (the paper sizes C and X to fit
@@ -44,61 +50,13 @@ import (
 // the paper's largest experiments (10^9).
 const MaxLen = math.MaxInt32
 
-// MaxBuckets bounds nB so bucket ids fit the 2-byte id cache.
+// MaxBuckets bounds nB so bucket ids fit the 2-byte id plane.
 const MaxBuckets = 1 << 16
 
-// Write-buffer geometry. A staging block holds scatterBlockBytes of records
-// (about two cache lines) per bucket; buffering engages only when a
-// participant's whole staging area stays under scatterBudgetBytes (so the
-// lanes themselves remain cache-resident) and the bucket count is large
-// enough that the plain scatter's write streams exceed the L1/TLB footprint
-// (minBufferedBuckets).
-const (
-	scatterBlockBytes  = 128
-	scatterBudgetBytes = 1 << 19
-	minBufferedBuckets = 512
-)
-
-// scatterBuffering is the package-wide enable for the buffered scatter
-// (atomic: toggling is safe at any time; each distribution samples it once
-// at its scatter gate).
-//
-// Default off: write buffering trades one random write per record for a
-// staged write plus a streamed line write, which only pays when the random
-// streams genuinely thrash private caches or TLBs — many concurrent cores,
-// or bucket counts far beyond L2-TLB reach. On the single-vCPU virtualized
-// hosts this repository is benchmarked on, the measured effect is a
-// consistent 1.3-1.7x slowdown of the scatter pass at every eligible shape
-// (see EXPERIMENTS.md), so the plain exact-offset scatter is the default
-// and buffering is an explicit opt-in for hardware where it wins. The
-// equivalence and determinism tests exercise both paths either way.
-var scatterBuffering atomic.Bool
-
-// SetScatterBuffering enables or disables the software write buffers in
-// the parallel scatter and returns the previous setting. The geometry gate
-// (blockRecs) still applies when enabled.
-func SetScatterBuffering(on bool) (prev bool) {
-	return scatterBuffering.Swap(on)
-}
-
-// blockRecs returns the records-per-bucket staging block size for the
-// buffered scatter, or 0 when buffering is off or not worthwhile: records
-// near or above a cache line gain nothing from staging, and a staging area
-// beyond the cache budget would evict the very lines it is trying to keep
-// hot. extraBytes is the per-record side payload (8 for the keyed scatter).
-func blockRecs(recBytes, extraBytes, nB int) int {
-	if !scatterBuffering.Load() || nB < minBufferedBuckets || recBytes <= 0 {
-		return 0
-	}
-	blk := scatterBlockBytes / recBytes
-	if blk < 4 {
-		return 0
-	}
-	if nB*blk*(recBytes+extraBytes) > scatterBudgetBytes {
-		return 0
-	}
-	return blk
-}
+// Absorbed is the id a fill pass writes for a record it consumed itself.
+// Any id >= nB marks an absorbed record; Absorbed is the top 2-byte id, so
+// it does for every nB the absorbing engines accept (nB < MaxBuckets).
+const Absorbed = ^uint16(0)
 
 // NumSubarrays returns how many subarrays an input of length n is split
 // into when each subarray holds l records.
@@ -109,95 +67,82 @@ func NumSubarrays(n, l int) int {
 	return (n + l - 1) / l
 }
 
-// checkArgs validates the common contract of every distribution variant.
-func checkArgs(n, nDst, nB, nStarts int) {
-	if n > MaxLen {
-		panic("dist: input longer than 2^31-1 records")
-	}
-	if nDst != n {
-		panic("dist: src and dst length mismatch")
-	}
-	if nB > MaxBuckets {
-		panic("dist: more than 2^16 buckets")
-	}
-	if nStarts != nB+1 {
-		panic("dist: starts length must be nB+1")
-	}
-}
-
 // Stable scatters src into dst, grouping records by bucket id, on the given
 // runtime (nil selects the shared default).
 //
 // bucketOf(i) must return the bucket of src[i] in [0, nB); nB is at most
-// 65536. bucketOf is called exactly once per record (during counting); the
-// ids are cached in a pooled 2-byte-per-record array and replayed during
-// the scatter, so expensive classifiers (hashing plus a heavy-table probe
-// for semisort, pivot binary search for samplesort) are not paid twice.
-// l is the subarray length. dst must have the same length as src and must
-// not alias it.
+// MaxBuckets. bucketOf is called exactly once per record (during counting);
+// the ids are cached in the pooled id plane and replayed during the
+// scatter, so expensive classifiers (pivot binary search for samplesort)
+// are not paid twice. l is the subarray length. dst must have the same
+// length as src and must not alias it.
 //
 // The returned slice has nB+1 entries; bucket j occupies dst[starts[j]:
 // starts[j+1]]. Records within a bucket preserve their src order.
 func Stable[R any](rt *parallel.Runtime, src, dst []R, nB, l int, bucketOf func(i int) int) []int {
-	return StableInto(rt, src, dst, nB, l, bucketOf, make([]int, nB+1))
-}
-
-// StableInto is Stable writing bucket boundaries into a caller-provided
-// starts slice of length nB+1 (hot callers keep starts pooled too).
-func StableInto[R any](rt *parallel.Runtime, src, dst []R, nB, l int, bucketOf func(i int) int, starts []int) []int {
-	return StableKeyedInto(rt, src, dst, nil, nil, nB, l, nB, bucketOf, starts)
-}
-
-// StableKeyedInto is StableInto additionally permuting a per-record uint64
-// side array: hdst[p] receives hsrc[j] whenever dst[p] receives src[j].
-// The semisort core uses it to carry each record's cached user hash through
-// every recursion level, so the user hash closure runs exactly once per
-// record per sort. Passing nil hsrc/hdst degrades to the plain variant.
-//
-// hLive is the number of leading buckets whose side values are still alive:
-// records landing in buckets >= hLive (semisort's heavy buckets, which are
-// final and never re-read their hashes) skip the side-array traffic
-// entirely. Pass nB to permute everything.
-func StableKeyedInto[R any](rt *parallel.Runtime, src, dst []R, hsrc, hdst []uint64, nB, l int, hLive int, bucketOf func(i int) int, starts []int) []int {
-	return StableFilledInto(rt, src, dst, hsrc, hdst, nB, l, hLive,
+	return StableFilledInto(rt, src, dst, nil, nil, nB, l, nB,
 		func(lo, hi int, ids []uint16, row []int32) {
 			for j := lo; j < hi; j++ {
 				b := bucketOf(j)
 				ids[j-lo] = uint16(b)
 				row[b]++
 			}
-		}, starts)
+		}, make([]int, nB+1))
 }
 
-// StableFilledInto is the id-plane form of StableKeyedInto: instead of a
-// per-record bucketOf closure, the caller supplies the whole counting pass.
-// fill(lo, hi, ids, row) must classify records [lo, hi) of src, writing
-// ids[j-lo] in [0, nB) and incrementing row[id] once per record; it is
-// invoked once per subarray (concurrently across subarrays). This is how
-// the semisort core fuses user hashing, the single heavy-table probe and
-// light-id extraction into one sweep per level — the engine prefixes the
-// counts and replays the cached ids during the scatter, so the classifier
-// runs exactly once per record by construction.
+// StableFilledInto is the parallel engine scattering into a caller-owned
+// dst of len(src) records, with bucket boundaries written into starts (nB+1
+// entries). fill(lo, hi, ids, row) must classify records [lo, hi) of src,
+// writing ids[j-lo] in [0, nB) and incrementing row[id] once per record; it
+// is invoked once per subarray, concurrently across subarrays.
+//
+// hsrc/hdst, when non-nil, are the per-record side arrays: hdst[p] receives
+// hsrc[j] whenever dst[p] receives src[j] and src[j]'s bucket is below
+// hLive (pass nB to carry every value). Records within a bucket keep their
+// src order.
 func StableFilledInto[R any](rt *parallel.Runtime, src, dst []R, hsrc, hdst []uint64, nB, l int, hLive int, fill func(lo, hi int, ids []uint16, row []int32), starts []int) []int {
+	checkMirror(len(src), len(dst), hsrc, hdst)
+	return distribute(rt, src, hsrc, nB, l, hLive, fill, starts,
+		func(int) ([]R, []uint64) { return dst, hdst })
+}
+
+// StableAbsorbInto is the parallel engine with absorbing: fill may write
+// Absorbed (and count nothing) for a record it consumed itself, so nB must
+// leave the sentinel free (nB < MaxBuckets). fill sweeps its subarray in
+// index order, so per-subarray absorption is input-ordered.
+//
+// dest(kept) is called exactly once, after counting, with the number of
+// surviving records; it must return a record slice of length >= kept and,
+// when hsrc is non-nil, a side slice of the same length (nil otherwise).
+// Survivors land stably in dst[0:kept] grouped by bucket, carrying their
+// side values for buckets below hLive as in StableFilledInto. src and hsrc
+// are never written by the engine.
+func StableAbsorbInto[R any](rt *parallel.Runtime, src []R, hsrc []uint64, nB, l, hLive int,
+	fill func(lo, hi int, ids []uint16, row []int32), starts []int,
+	dest func(kept int) ([]R, []uint64)) []int {
+	checkAbsorbing(nB)
+	return distribute(rt, src, hsrc, nB, l, hLive, fill, starts, dest)
+}
+
+// distribute is the parallel body: count per subarray, prefix, size the
+// destination, scatter per subarray.
+func distribute[R any](rt *parallel.Runtime, src []R, hsrc []uint64, nB, l, hLive int,
+	fill func(lo, hi int, ids []uint16, row []int32), starts []int,
+	dest func(kept int) ([]R, []uint64)) []int {
 	n := len(src)
-	checkArgs(n, len(dst), nB, len(starts))
-	keyed := hsrc != nil
-	if keyed && (len(hsrc) != n || len(hdst) != n) {
-		panic("dist: hash arrays must match src length")
-	}
+	checkArgs(n, nB, len(starts), hsrc)
 	if n == 0 {
 		clear(starts)
+		dest(0)
 		return starts
 	}
-	if l < 1 {
-		l = 1
-	}
+	l = max(l, 1)
 	rt = parallel.Or(rt)
 	sc := rt.Scratch()
 	nSub := NumSubarrays(n, l)
 
 	// Counting pass: C[i*nB+j] = #records of subarray i in bucket j, with
-	// the per-record bucket id cached for the scatter pass.
+	// every record's id cached for the scatter pass.
 	idsBuf := parallel.GetBuf[uint16](sc, n)
 	cBuf := parallel.GetBuf[int32](sc, nSub*nB)
 	cBuf.Zero()
@@ -208,44 +153,19 @@ func StableFilledInto[R any](rt *parallel.Runtime, src, dst []R, hsrc, hdst []ui
 	})
 
 	prefixOffsets(rt, sc, nB, nSub, c, starts)
+	dst, hdst := dest(starts[nB])
+	checkDest(starts[nB], len(dst), len(hdst), hsrc)
 
 	// Scatter pass: subarrays in parallel, sequential within a subarray so
 	// the result is stable and every write destination is exclusive.
-	extra := 0
-	if keyed {
-		extra = 8
-	}
-	if blk := blockRecs(int(unsafe.Sizeof(*new(R))), extra, nB); blk > 0 {
-		scatterBuffered(rt, src, dst, hsrc, hdst, ids, c, nB, l, hLive, blk)
-	} else if keyed {
-		rt.For(nSub, 1, func(i int) {
-			row := c[i*nB : (i+1)*nB]
-			hi := min((i+1)*l, n)
-			// Equal-length 0-based windows keep the per-record loop free of
-			// bounds checks.
-			srcW, hsrcW, idsW := src[i*l:hi], hsrc[i*l:hi:hi], ids[i*l:hi:hi]
-			for j := range srcW {
-				b := idsW[j]
-				p := row[b]
-				dst[p] = srcW[j]
-				if int(b) < hLive {
-					hdst[p] = hsrcW[j]
-				}
-				row[b] = p + 1
-			}
-		})
-	} else {
-		rt.For(nSub, 1, func(i int) {
-			row := c[i*nB : (i+1)*nB]
-			hi := min((i+1)*l, n)
-			srcW, idsW := src[i*l:hi], ids[i*l:hi:hi]
-			for j := range srcW {
-				b := idsW[j]
-				dst[row[b]] = srcW[j]
-				row[b]++
-			}
-		})
-	}
+	rt.For(nSub, 1, func(i int) {
+		lo, hi := i*l, min((i+1)*l, n)
+		var hsrcW []uint64
+		if hsrc != nil {
+			hsrcW = hsrc[lo:hi]
+		}
+		scatter(src[lo:hi], dst, hsrcW, hdst, ids[lo:hi], c[i*nB:(i+1)*nB], hLive)
+	})
 	cBuf.Release()
 	idsBuf.Release()
 	return starts
@@ -281,176 +201,68 @@ func prefixOffsets(rt *parallel.Runtime, sc *parallel.Scratch, nB, nSub int, c [
 	totalsBuf.Release()
 }
 
-// scatterBuffered is the write-buffered scatter pass: each participant
-// stages records into per-bucket blocks of blk records (parallel.Slotted
-// lanes, padded apart by a cache line) and flushes full blocks into dst
-// with one streaming copy. Offsets still come from the counting matrix, so
-// destinations are exact; within a subarray records of a bucket are staged
-// and flushed in input order, so stability is preserved; lanes are private
-// to a participant and drained before its subarray ends, so the output is
-// independent of scheduling.
-func scatterBuffered[R any](rt *parallel.Runtime, src, dst []R, hsrc, hdst []uint64, ids []uint16, c []int32, nB, l, hLive, blk int) {
-	n := len(src)
-	keyed := hsrc != nil
-	sc := rt.Scratch()
-	slots := rt.MaxSlots()
-	lanes := parallel.GetSlotted[R](sc, slots, nB*blk)
-	var hlanes parallel.Slotted[uint64]
-	if keyed {
-		hlanes = parallel.GetSlotted[uint64](sc, slots, nB*blk)
-	}
-	cnts := parallel.GetSlotted[uint8](sc, slots, nB)
-	cnts.Zero()
-	rt.ForRangeW(NumSubarrays(n, l), 1, func(w, subLo, subHi int) {
-		lane := lanes.Lane(w)
-		cnt := cnts.Lane(w)
-		var hlane []uint64
-		if keyed {
-			hlane = hlanes.Lane(w)
-		}
-		for i := subLo; i < subHi; i++ {
-			row := c[i*nB : (i+1)*nB]
-			end := min((i+1)*l, n)
-			if keyed {
-				for j := i * l; j < end; j++ {
-					b := int(ids[j])
-					base := b * blk
-					ci := int(cnt[b])
-					lane[base+ci] = src[j]
-					if b < hLive {
-						hlane[base+ci] = hsrc[j]
-					}
-					ci++
-					if ci == blk {
-						p := int(row[b])
-						copy(dst[p:p+blk], lane[base:base+blk])
-						if b < hLive {
-							copy(hdst[p:p+blk], hlane[base:base+blk])
-						}
-						row[b] = int32(p + blk)
-						cnt[b] = 0
-					} else {
-						cnt[b] = uint8(ci)
-					}
-				}
-			} else {
-				for j := i * l; j < end; j++ {
-					b := int(ids[j])
-					base := b * blk
-					ci := int(cnt[b])
-					lane[base+ci] = src[j]
-					ci++
-					if ci == blk {
-						p := int(row[b])
-						copy(dst[p:p+blk], lane[base:base+blk])
-						row[b] = int32(p + blk)
-						cnt[b] = 0
-					} else {
-						cnt[b] = uint8(ci)
-					}
-				}
-			}
-			// Flush partial blocks before leaving the subarray: the next
-			// subarray has its own exact offsets, and the lane must come
-			// back empty for it.
-			for b := 0; b < nB; b++ {
-				k := int(cnt[b])
-				if k == 0 {
-					continue
-				}
-				p := int(row[b])
-				base := b * blk
-				copy(dst[p:p+k], lane[base:base+k])
-				if keyed && b < hLive {
-					copy(hdst[p:p+k], hlane[base:base+k])
-				}
-				row[b] = int32(p + k)
-				cnt[b] = 0
-			}
-		}
-	})
-	cnts.Release()
-	if keyed {
-		hlanes.Release()
-	}
-	lanes.Release()
-}
-
-// Serial is the sequential single-subarray specialization of Stable for
-// cache-resident subproblems: one counting pass (caching ids), one prefix
-// pass over nB counters, one scatter pass. Same contract as Stable, but it
-// spawns no goroutines. Scratch comes from the shared default arena.
+// Serial is the closure wrapper of the serial engine (see Stable): same
+// contract, but it spawns no goroutines and takes its scratch from the
+// shared default arena. Bucket counts that fit a byte get a byte-wide id
+// plane, halving id traffic (the radix baseline's 256 digit buckets).
 func Serial[R any](src, dst []R, nB int, bucketOf func(i int) int) []int {
-	return SerialInto(nil, src, dst, nB, bucketOf, make([]int, nB+1))
+	starts := make([]int, nB+1)
+	if nB <= 1<<8 {
+		return SerialFilledInto(nil, src, dst, nil, nil, nB, nB, fillFrom[uint8](bucketOf), starts)
+	}
+	return SerialFilledInto(nil, src, dst, nil, nil, nB, nB, fillFrom[uint16](bucketOf), starts)
 }
 
-// SerialInto is Serial against an explicit arena (nil selects the shared
-// default) and a caller-provided starts slice of length nB+1. Recursive
-// algorithms call this once per small bucket, thousands of times per sort,
-// so the id cache and counters must not hit the allocator each time; when
-// nB fits a byte (the radix baseline's 256 digit buckets, small configured
-// n_L) the id cache shrinks to 1 byte per record, halving its traffic.
-func SerialInto[R any](sc *parallel.Scratch, src, dst []R, nB int, bucketOf func(i int) int, starts []int) []int {
-	return SerialKeyedInto(sc, src, dst, nil, nil, nB, nB, bucketOf, starts)
+// fillFrom adapts a per-record bucketOf closure to a serial fill pass.
+func fillFrom[I uint8 | uint16](bucketOf func(i int) int) func(ids []I, counts []int32) {
+	return func(ids []I, counts []int32) {
+		for i := range ids {
+			b := bucketOf(i)
+			ids[i] = I(b)
+			counts[b]++
+		}
+	}
 }
 
-// SerialKeyedInto is SerialInto permuting the per-record uint64 side array
-// alongside the records (see StableKeyedInto, including the hLive
-// dead-suffix contract). Passing nil hsrc/hdst degrades to the plain
-// variant.
-func SerialKeyedInto[R any](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB int, hLive int, bucketOf func(i int) int, starts []int) []int {
+// SerialFilledInto is the sequential single-subarray form of
+// StableFilledInto for cache-resident subproblems, against an explicit
+// arena (nil selects the shared default): fill(ids, counts) classifies
+// every record of src in one pass, writing ids[i] in [0, nB) and
+// incrementing counts[id] once per record. The id plane is generic over 1-
+// and 2-byte ids; byte-wide ids (nB <= 256, the semisort base case's 256-way
+// hash-window splits) halve id traffic. Recursive callers run it thousands
+// of times per sort, so nothing in it touches the allocator.
+func SerialFilledInto[R any, I uint8 | uint16](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB int, hLive int, fill func(ids []I, counts []int32), starts []int) []int {
+	checkMirror(len(src), len(dst), hsrc, hdst)
+	return distributeSerial(sc, src, hsrc, nB, hLive, fill, starts,
+		func(int) ([]R, []uint64) { return dst, hdst })
+}
+
+// SerialAbsorbInto is the sequential single-subarray form of
+// StableAbsorbInto (see SerialFilledInto): fill(ids, counts) classifies
+// every record of src in one pass, absorbed records get Absorbed and are
+// not counted, and the engine prefixes, sizes the destination through dest,
+// and replays on the calling goroutine.
+func SerialAbsorbInto[R any](sc *parallel.Scratch, src []R, hsrc []uint64, nB, hLive int,
+	fill func(ids []uint16, counts []int32), starts []int,
+	dest func(kept int) ([]R, []uint64)) []int {
+	checkAbsorbing(nB)
+	return distributeSerial(sc, src, hsrc, nB, hLive, fill, starts, dest)
+}
+
+// distributeSerial is the serial body: one counting pass, one prefix pass
+// over nB counters, one scatter pass.
+func distributeSerial[R any, I uint8 | uint16](sc *parallel.Scratch, src []R, hsrc []uint64, nB, hLive int,
+	fill func(ids []I, counts []int32), starts []int,
+	dest func(kept int) ([]R, []uint64)) []int {
 	n := len(src)
-	checkArgs(n, len(dst), nB, len(starts))
-	if hsrc != nil && (len(hsrc) != n || len(hdst) != n) {
-		panic("dist: hash arrays must match src length")
+	checkArgs(n, nB, len(starts), hsrc)
+	if uint64(nB) > uint64(^I(0))+1 {
+		panic("dist: bucket ids do not fit the id plane")
 	}
 	if n == 0 {
 		clear(starts)
-		return starts
-	}
-	if sc == nil {
-		sc = parallel.Default().Scratch()
-	}
-	if nB <= 256 {
-		serialScatter[R, uint8](sc, src, dst, hsrc, hdst, nB, hLive, bucketOf, starts)
-	} else {
-		serialScatter[R, uint16](sc, src, dst, hsrc, hdst, nB, hLive, bucketOf, starts)
-	}
-	return starts
-}
-
-// SerialFilledInto is the id-plane form of SerialKeyedInto (see
-// StableFilledInto): fill(ids, counts) classifies every record of src in
-// one caller-owned pass, writing ids[i] in [0, nB) and incrementing
-// counts[id] once per record; the engine prefixes and replays. The id cache
-// is 2 bytes per record (callers with nB <= 256 and a cheap classifier
-// keep using the closure form, whose byte-wide cache halves id traffic).
-func SerialFilledInto[R any](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB int, hLive int, fill func(ids []uint16, counts []int32), starts []int) []int {
-	return serialFilled(sc, src, dst, hsrc, hdst, nB, hLive, fill, starts)
-}
-
-// SerialFilled8Into is SerialFilledInto with a byte-wide id plane for
-// classifiers with nB <= 256 (the semisort base-case splitter's 256-way
-// hash-window splits): the caller's fill pass writes 1-byte ids, halving
-// id-cache traffic exactly like the byte specialization of the closure
-// form.
-func SerialFilled8Into[R any](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB int, hLive int, fill func(ids []uint8, counts []int32), starts []int) []int {
-	if nB > 256 {
-		panic("dist: SerialFilled8Into needs nB <= 256")
-	}
-	return serialFilled(sc, src, dst, hsrc, hdst, nB, hLive, fill, starts)
-}
-
-// serialFilled is the shared body of the serial id-plane engines, generic
-// over the id-cache cell (mirroring serialScatter/serialFinish).
-func serialFilled[R any, I uint8 | uint16](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB int, hLive int, fill func(ids []I, counts []int32), starts []int) []int {
-	n := len(src)
-	checkArgs(n, len(dst), nB, len(starts))
-	if hsrc != nil && (len(hsrc) != n || len(hdst) != n) {
-		panic("dist: hash arrays must match src length")
-	}
-	if n == 0 {
-		clear(starts)
+		dest(0)
 		return starts
 	}
 	if sc == nil {
@@ -459,62 +271,97 @@ func serialFilled[R any, I uint8 | uint16](sc *parallel.Scratch, src, dst []R, h
 	idsBuf := parallel.GetBuf[I](sc, n)
 	countsBuf := parallel.GetBuf[int32](sc, nB)
 	countsBuf.Zero()
-	fill(idsBuf.S, countsBuf.S)
-	serialFinish(src, dst, hsrc, hdst, idsBuf.S, countsBuf.S, nB, hLive, starts)
-	countsBuf.Release()
-	idsBuf.Release()
-	return starts
-}
-
-// serialScatter is the count-prefix-scatter body of SerialKeyedInto,
-// generic over the id-cache cell so byte-sized bucket counts pay byte-sized
-// id traffic.
-func serialScatter[R any, I uint8 | uint16](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB, hLive int, bucketOf func(i int) int, starts []int) {
-	n := len(src)
-	idsBuf := parallel.GetBuf[I](sc, n)
-	countsBuf := parallel.GetBuf[int32](sc, nB)
-	countsBuf.Zero()
-	ids, counts := idsBuf.S, countsBuf.S
-	for i := 0; i < n; i++ {
-		b := bucketOf(i)
-		ids[i] = I(b)
-		counts[b]++
-	}
-	serialFinish(src, dst, hsrc, hdst, ids, counts, nB, hLive, starts)
-	countsBuf.Release()
-	idsBuf.Release()
-}
-
-// serialFinish is the shared prefix+scatter tail of the serial engines:
-// counts arrives as the bucket histogram and leaves as write cursors.
-func serialFinish[R any, I uint8 | uint16](src, dst []R, hsrc, hdst []uint64, ids []I, counts []int32, nB, hLive int, starts []int) {
-	n := len(src)
+	counts := countsBuf.S
+	fill(idsBuf.S, counts)
+	// counts arrives as the bucket histogram and leaves as write cursors.
 	off := int32(0)
-	for b := 0; b < nB; b++ {
+	for b, c := range counts {
 		starts[b] = int(off)
-		c := counts[b]
 		counts[b] = off
 		off += c
 	}
 	starts[nB] = int(off)
-	ids = ids[:n] // equal-length windows: no bounds checks per record
-	if hsrc != nil {
-		hsrc = hsrc[:n:n]
-		for i := range ids {
-			b := ids[i]
-			p := counts[b]
-			dst[p] = src[i]
-			if int(b) < hLive {
-				hdst[p] = hsrc[i]
+	dst, hdst := dest(int(off))
+	checkDest(int(off), len(dst), len(hdst), hsrc)
+	scatter(src, dst, hsrc, hdst, idsBuf.S, counts, hLive)
+	countsBuf.Release()
+	idsBuf.Release()
+	return starts
+}
+
+// scatter is the one scatter loop of both bodies. Each record src[j] whose
+// id is a bucket (id < len(cur)) moves to dst[cur[id]], advancing that
+// bucket's write cursor, and carries hsrc[j] into hdst when hsrc is non-nil
+// and the bucket is below hLive. An id >= len(cur) marks a record the fill
+// pass absorbed: it was not counted and is not moved.
+func scatter[R any, I uint8 | uint16](src, dst []R, hsrc, hdst []uint64, ids []I, cur []int32, hLive int) {
+	ids = ids[:len(src)] // equal-length windows: no bounds checks per record
+	if hsrc == nil {
+		for j := range src {
+			b := ids[j]
+			if int(b) >= len(cur) {
+				continue
 			}
-			counts[b] = p + 1
+			dst[cur[b]] = src[j]
+			cur[b]++
 		}
-	} else {
-		for i := range ids {
-			b := ids[i]
-			dst[counts[b]] = src[i]
-			counts[b]++
+		return
+	}
+	hsrc = hsrc[:len(src)]
+	for j := range src {
+		b := ids[j]
+		if int(b) >= len(cur) {
+			continue
 		}
+		p := cur[b]
+		dst[p] = src[j]
+		if int(b) < hLive {
+			hdst[p] = hsrc[j]
+		}
+		cur[b] = p + 1
+	}
+}
+
+// checkArgs validates the contract common to both bodies.
+func checkArgs(n, nB, nStarts int, hsrc []uint64) {
+	if n > MaxLen {
+		panic("dist: input longer than 2^31-1 records")
+	}
+	if nB > MaxBuckets {
+		panic("dist: more than 2^16 buckets")
+	}
+	if nStarts != nB+1 {
+		panic("dist: starts length must be nB+1")
+	}
+	if hsrc != nil && len(hsrc) != n {
+		panic("dist: hash array must match src length")
+	}
+}
+
+// checkMirror validates a caller-owned destination mirroring src.
+func checkMirror(n, nDst int, hsrc, hdst []uint64) {
+	if nDst != n {
+		panic("dist: src and dst length mismatch")
+	}
+	if hsrc != nil && len(hdst) != n {
+		panic("dist: hash arrays must match src length")
+	}
+}
+
+// checkAbsorbing keeps the Absorbed sentinel out of the bucket range.
+func checkAbsorbing(nB int) {
+	if nB > int(Absorbed) {
+		panic("dist: absorbing engines need nB <= 65535 (Absorbed sentinel)")
+	}
+}
+
+// checkDest validates what dest returned against the survivor count.
+func checkDest(kept, nDst, nHDst int, hsrc []uint64) {
+	if nDst < kept {
+		panic("dist: dest returned a record slice shorter than the survivor count")
+	}
+	if hsrc != nil && nHDst < kept {
+		panic("dist: dest returned a hash slice shorter than the survivor count")
 	}
 }
 
@@ -524,8 +371,8 @@ func serialFinish[R any, I uint8 | uint16](src, dst []R, hsrc, hdst []uint64, id
 // cached hash is carried. The carried count is the driver's to derive from
 // the level's prefix array — the scatter carries hashes only for buckets
 // below hLive (light buckets; heavy buckets are final and their hashes are
-// dead — see the hLive dead-suffix contract above), so a sorting sweep
-// carries the light prefix and an absorbing sweep carries every survivor.
+// dead — see the hLive dead-suffix contract above), so every sweep carries
+// the light prefix.
 func SweepBytes(recBytes, scattered, hashCarried int64) int64 {
 	return scattered*recBytes + hashCarried*8
 }

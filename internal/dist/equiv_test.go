@@ -1,25 +1,27 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// Equivalence tests for the distribution engines: every variant — the
-// parallel scatter with and without software write buffers, the keyed
-// variants carrying the hash side array, and the serial specialization with
-// both its byte- and 2-byte id caches — must produce output identical to a
-// naive stable reference, across the edge shapes of the engine (single
-// bucket, single subarray, one crowded bucket, maximal and empty buckets).
+// Equivalence tests for the distribution engine: every entry point — the
+// parallel and serial id-plane forms (2-byte and byte-wide ids), the
+// absorbing forms, and the Stable/Serial closure wrappers — must produce
+// output identical to a naive stable reference across the edge shapes of
+// the engine (single bucket, single subarray, one crowded bucket, maximal
+// and empty buckets, a dead hLive suffix, absorbed records), and none may
+// write its source.
 
 type erec struct {
-	b   int
+	b   int // bucket; negative means the fill pass absorbs the record
 	seq int
 }
 
 // refDistribute is the obviously correct stable distribution: emit bucket
-// by bucket in input order.
+// by bucket in input order, dropping absorbed records.
 func refDistribute(src []erec, nB int) (dst []erec, starts []int) {
 	dst = make([]erec, 0, len(src))
 	starts = make([]int, nB+1)
@@ -35,157 +37,140 @@ func refDistribute(src []erec, nB int) (dst []erec, starts []int) {
 	return dst, starts
 }
 
-// hashOf is the synthetic side payload the keyed variants must permute in
+// hashOf is the synthetic side payload the keyed forms must permute in
 // lockstep with the records.
 func hashOf(r erec) uint64 { return uint64(r.seq)*0x9e3779b97f4a7c15 + uint64(r.b) }
 
-func checkAgainstRef(t *testing.T, label string, src, got []erec, hgot []uint64, gotStarts, wantStarts []int, want []erec) {
-	t.Helper()
-	if len(gotStarts) != len(wantStarts) {
-		t.Fatalf("%s: starts length %d want %d", label, len(gotStarts), len(wantStarts))
+// sentinel pre-fills every side destination: positions in the dead hLive
+// suffix must still hold it afterwards.
+const sentinel = 0xdeadbeefcafef00d
+
+func newHdst(n int) []uint64 {
+	h := make([]uint64, n)
+	for i := range h {
+		h[i] = sentinel
 	}
-	for i := range wantStarts {
-		if gotStarts[i] != wantStarts[i] {
-			t.Fatalf("%s: starts[%d]=%d want %d", label, i, gotStarts[i], wantStarts[i])
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: dst[%d]=%v want %v", label, i, got[i], want[i])
-		}
-		if hgot != nil && hgot[i] != hashOf(want[i]) {
-			t.Fatalf("%s: hash side array out of sync at %d: %d want %d", label, i, hgot[i], hashOf(want[i]))
+	return h
+}
+
+// fillRange is the parallel fill pass: bucket ids from erec.b, Absorbed
+// (uncounted) for negative buckets.
+func fillRange(src []erec) func(lo, hi int, ids []uint16, row []int32) {
+	return func(lo, hi int, ids []uint16, row []int32) {
+		for j := lo; j < hi; j++ {
+			if src[j].b < 0 {
+				ids[j-lo] = Absorbed
+				continue
+			}
+			ids[j-lo] = uint16(src[j].b)
+			row[src[j].b]++
 		}
 	}
 }
 
-// runAllVariants distributes src every way the package offers and checks
-// each against the reference.
-func runAllVariants(t *testing.T, label string, src []erec, nB, l int) {
-	t.Helper()
-	n := len(src)
-	bucketOf := func(i int) int { return src[i].b }
-	want, wantStarts := refDistribute(src, nB)
-	hsrc := make([]uint64, n)
-	for i, r := range src {
-		hsrc[i] = hashOf(r)
-	}
-	for _, buffered := range []bool{false, true} {
-		prev := SetScatterBuffering(buffered)
-		dst := make([]erec, n)
-		starts := StableInto(nil, src, dst, nB, l, bucketOf, make([]int, nB+1))
-		checkAgainstRef(t, label+"/StableInto", src, dst, nil, starts, wantStarts, want)
+// engine is one entry point under test. keyed forms carry the side array
+// (and honour hLive); absorbing forms accept Absorbed ids and size their
+// destination through dest; maxB is the largest nB the form accepts.
+type engine struct {
+	name             string
+	keyed, absorbing bool
+	maxB             int
+	run              func(src []erec, hsrc []uint64, nB, l, hLive int) ([]erec, []uint64, []int)
+}
 
-		dst2 := make([]erec, n)
-		hdst := make([]uint64, n)
-		starts2 := StableKeyedInto(nil, src, dst2, hsrc, hdst, nB, l, nB, bucketOf, make([]int, nB+1))
-		checkAgainstRef(t, label+"/StableKeyedInto", src, dst2, hdst, starts2, wantStarts, want)
-		SetScatterBuffering(prev)
-	}
-	dst3 := make([]erec, n)
-	starts3 := SerialInto(nil, src, dst3, nB, bucketOf, make([]int, nB+1))
-	checkAgainstRef(t, label+"/SerialInto", src, dst3, nil, starts3, wantStarts, want)
-
-	dst4 := make([]erec, n)
-	hdst4 := make([]uint64, n)
-	starts4 := SerialKeyedInto(nil, src, dst4, hsrc, hdst4, nB, nB, bucketOf, make([]int, nB+1))
-	checkAgainstRef(t, label+"/SerialKeyedInto", src, dst4, hdst4, starts4, wantStarts, want)
-
-	// The id-plane (Filled) forms must match too: the caller-supplied fill
-	// pass replaces bucketOf but the prefix+scatter machinery is shared.
-	dst5 := make([]erec, n)
-	hdst5 := make([]uint64, n)
-	starts5 := StableFilledInto(nil, src, dst5, hsrc, hdst5, nB, l, nB,
-		func(lo, hi int, ids []uint16, row []int32) {
-			for j := lo; j < hi; j++ {
-				ids[j-lo] = uint16(src[j].b)
-				row[src[j].b]++
-			}
-		}, make([]int, nB+1))
-	checkAgainstRef(t, label+"/StableFilledInto", src, dst5, hdst5, starts5, wantStarts, want)
-
-	dst6 := make([]erec, n)
-	hdst6 := make([]uint64, n)
-	starts6 := SerialFilledInto(nil, src, dst6, hsrc, hdst6, nB, nB,
-		func(ids []uint16, counts []int32) {
-			for i, r := range src {
-				ids[i] = uint16(r.b)
-				counts[r.b]++
-			}
-		}, make([]int, nB+1))
-	checkAgainstRef(t, label+"/SerialFilledInto", src, dst6, hdst6, starts6, wantStarts, want)
-
-	if nB <= 256 {
-		dst7 := make([]erec, n)
-		hdst7 := make([]uint64, n)
-		starts7 := SerialFilled8Into(nil, src, dst7, hsrc, hdst7, nB, nB,
-			func(ids []uint8, counts []int32) {
+func engines() []engine {
+	bucketOf := func(src []erec) func(int) int { return func(i int) int { return src[i].b } }
+	dest := func(kept int) ([]erec, []uint64) { return make([]erec, kept), newHdst(kept) }
+	return []engine{
+		{"Stable", false, false, MaxBuckets, func(src []erec, _ []uint64, nB, l, _ int) ([]erec, []uint64, []int) {
+			dst := make([]erec, len(src))
+			return dst, nil, Stable(nil, src, dst, nB, l, bucketOf(src))
+		}},
+		{"Serial", false, false, MaxBuckets, func(src []erec, _ []uint64, nB, _, _ int) ([]erec, []uint64, []int) {
+			dst := make([]erec, len(src))
+			return dst, nil, Serial(src, dst, nB, bucketOf(src))
+		}},
+		{"StableFilledInto", true, false, MaxBuckets, func(src []erec, hsrc []uint64, nB, l, hLive int) ([]erec, []uint64, []int) {
+			dst, hdst := make([]erec, len(src)), newHdst(len(src))
+			return dst, hdst, StableFilledInto(nil, src, dst, hsrc, hdst, nB, l, hLive, fillRange(src), make([]int, nB+1))
+		}},
+		{"SerialFilledInto", true, false, MaxBuckets, func(src []erec, hsrc []uint64, nB, _, hLive int) ([]erec, []uint64, []int) {
+			dst, hdst := make([]erec, len(src)), newHdst(len(src))
+			fill := func(ids []uint16, counts []int32) { fillRange(src)(0, len(src), ids, counts) }
+			return dst, hdst, SerialFilledInto(nil, src, dst, hsrc, hdst, nB, hLive, fill, make([]int, nB+1))
+		}},
+		{"SerialFilledInto/byte", true, false, 1 << 8, func(src []erec, hsrc []uint64, nB, _, hLive int) ([]erec, []uint64, []int) {
+			dst, hdst := make([]erec, len(src)), newHdst(len(src))
+			fill := func(ids []uint8, counts []int32) {
 				for i, r := range src {
 					ids[i] = uint8(r.b)
 					counts[r.b]++
 				}
-			}, make([]int, nB+1))
-		checkAgainstRef(t, label+"/SerialFilled8Into", src, dst7, hdst7, starts7, wantStarts, want)
+			}
+			return dst, hdst, SerialFilledInto(nil, src, dst, hsrc, hdst, nB, hLive, fill, make([]int, nB+1))
+		}},
+		{"StableAbsorbInto", true, true, MaxBuckets - 1, func(src []erec, hsrc []uint64, nB, l, hLive int) (dst []erec, hdst []uint64, starts []int) {
+			starts = StableAbsorbInto(nil, src, hsrc, nB, l, hLive, fillRange(src), make([]int, nB+1),
+				func(kept int) ([]erec, []uint64) { dst, hdst = dest(kept); return dst, hdst })
+			return dst, hdst, starts
+		}},
+		{"SerialAbsorbInto", true, true, MaxBuckets - 1, func(src []erec, hsrc []uint64, nB, _, hLive int) (dst []erec, hdst []uint64, starts []int) {
+			fill := func(ids []uint16, counts []int32) { fillRange(src)(0, len(src), ids, counts) }
+			starts = SerialAbsorbInto(nil, src, hsrc, nB, hLive, fill, make([]int, nB+1),
+				func(kept int) ([]erec, []uint64) { dst, hdst = dest(kept); return dst, hdst })
+			return dst, hdst, starts
+		}},
 	}
 }
 
-// TestHLiveDeadSuffixUntouched pins the skew-adaptive scatter contract the
-// semisort core relies on: records landing in buckets >= hLive (final heavy
-// buckets) must not move their side-array values — the scatter may not even
-// write those hdst positions. A sentinel pattern in hdst must survive within
-// the dead region, in every engine and with buffering forced on.
-func TestHLiveDeadSuffixUntouched(t *testing.T) {
-	n, nB, hLive, l := 6000, 600, 400, 128
-	src := makeSrc(n, nB, 17)
-	hsrc := make([]uint64, n)
+// checkAllVariants distributes src through every entry point that accepts
+// the shape and checks each against the reference: starts, stable record
+// order, side values carried below hLive and untouched from starts[hLive]
+// on, and src/hsrc unchanged. It reports the first mismatch.
+func checkAllVariants(src []erec, nB, l, hLive int) error {
+	want, wantStarts := refDistribute(src, nB)
+	absorbs := len(want) < len(src)
+	hsrc := make([]uint64, len(src))
 	for i, r := range src {
 		hsrc[i] = hashOf(r)
 	}
-	bucketOf := func(i int) int { return src[i].b }
-	const sentinel = 0xdeadbeefcafef00d
-	check := func(label string, starts []int, hdst []uint64) {
-		t.Helper()
-		deadLo := starts[hLive]
-		for p := 0; p < deadLo; p++ {
-			if hdst[p] == sentinel {
-				t.Fatalf("%s: live hash at %d not written", label, p)
+	srcCopy, hsrcCopy := append([]erec(nil), src...), append([]uint64(nil), hsrc...)
+	for _, e := range engines() {
+		if nB > e.maxB || (absorbs && !e.absorbing) {
+			continue
+		}
+		dst, hdst, starts := e.run(src, hsrc, nB, l, hLive)
+		for i := range wantStarts {
+			if starts[i] != wantStarts[i] {
+				return fmt.Errorf("%s: starts[%d]=%d want %d", e.name, i, starts[i], wantStarts[i])
 			}
 		}
-		for p := deadLo; p < n; p++ {
-			if hdst[p] != sentinel {
-				t.Fatalf("%s: dead-suffix hash at %d was written", label, p)
+		for i := range want {
+			if dst[i] != want[i] {
+				return fmt.Errorf("%s: dst[%d]=%v want %v", e.name, i, dst[i], want[i])
+			}
+			live := i < wantStarts[hLive]
+			if e.keyed && live && hdst[i] != hashOf(want[i]) {
+				return fmt.Errorf("%s: live side value at %d is %#x, want %#x", e.name, i, hdst[i], hashOf(want[i]))
+			}
+			if e.keyed && !live && hdst[i] != sentinel {
+				return fmt.Errorf("%s: dead-suffix side value at %d was written", e.name, i)
+			}
+		}
+		for i := range src {
+			if src[i] != srcCopy[i] || hsrc[i] != hsrcCopy[i] {
+				return fmt.Errorf("%s: engine wrote its source at %d", e.name, i)
 			}
 		}
 	}
-	newHdst := func() []uint64 {
-		hdst := make([]uint64, n)
-		for i := range hdst {
-			hdst[i] = sentinel
-		}
-		return hdst
-	}
-	for _, buffered := range []bool{false, true} {
-		prev := SetScatterBuffering(buffered)
-		dst := make([]erec, n)
-		hdst := newHdst()
-		starts := StableKeyedInto(nil, src, dst, hsrc, hdst, nB, l, hLive, bucketOf, make([]int, nB+1))
-		check("StableKeyedInto", starts, hdst)
-		SetScatterBuffering(prev)
-	}
-	dst := make([]erec, n)
-	hdst := newHdst()
-	starts := SerialKeyedInto(nil, src, dst, hsrc, hdst, nB, hLive, bucketOf, make([]int, nB+1))
-	check("SerialKeyedInto", starts, hdst)
+	return nil
+}
 
-	hdst = newHdst()
-	starts = SerialFilledInto(nil, src, make([]erec, n), hsrc, hdst, nB, hLive,
-		func(ids []uint16, counts []int32) {
-			for i, r := range src {
-				ids[i] = uint16(r.b)
-				counts[r.b]++
-			}
-		}, make([]int, nB+1))
-	check("SerialFilledInto", starts, hdst)
+func runAllVariants(t *testing.T, label string, src []erec, nB, l, hLive int) {
+	t.Helper()
+	if err := checkAllVariants(src, nB, l, hLive); err != nil {
+		t.Fatalf("%s/%v", label, err)
+	}
 }
 
 func makeSrc(n, nB int, seed int64) []erec {
@@ -197,44 +182,42 @@ func makeSrc(n, nB int, seed int64) []erec {
 	return src
 }
 
+// TestHLiveDeadSuffixUntouched pins the skew-adaptive scatter contract the
+// semisort core relies on: records landing in buckets >= hLive (final heavy
+// buckets) must not move their side-array values — the scatter may not even
+// write those hdst positions — in every keyed form.
+func TestHLiveDeadSuffixUntouched(t *testing.T) {
+	runAllVariants(t, "hLive=400", makeSrc(6000, 600, 17), 600, 128, 400)
+	runAllVariants(t, "hLive=0", makeSrc(3000, 16, 18), 16, 256, 0)
+}
+
 func TestDistributeVariantsMatchReferenceEdgeShapes(t *testing.T) {
+	withBuckets := func(src []erec, f func(r erec) int) []erec {
+		for i := range src {
+			src[i].b = f(src[i])
+		}
+		return src
+	}
 	cases := []struct {
-		label string
-		src   []erec
-		nB, l int
+		label        string
+		src          []erec
+		nB, l, hLive int
 	}{
-		{"empty", nil, 4, 16},
-		{"single-bucket-nB=1", makeSrc(1000, 1, 1), 1, 64},
-		{"n<l-single-subarray", makeSrc(200, 16, 2), 16, 4096},
-		{"all-one-bucket", func() []erec {
-			src := makeSrc(3000, 1, 3)
-			for i := range src {
-				src[i].b = 7
-			}
-			return src
-		}(), 16, 128},
-		{"nB=MaxBuckets-sparse", func() []erec {
-			src := makeSrc(2000, 4, 4)
-			for i := range src {
-				src[i].b = (src[i].seq * 31) % MaxBuckets
-			}
-			return src
-		}(), MaxBuckets, 256},
-		{"empty-buckets", func() []erec {
-			src := makeSrc(2500, 3, 5)
-			picks := []int{0, 150, 299}
-			for i := range src {
-				src[i].b = picks[src[i].b]
-			}
-			return src
-		}(), 300, 128},
-		{"byte-id-cache-nB=256", makeSrc(5000, 256, 6), 256, 512},
-		{"word-id-cache-nB=257", makeSrc(5000, 257, 7), 257, 512},
-		{"buffered-eligible-nB=1024", makeSrc(50000, 1024, 8), 1024, 4096},
-		{"many-subarrays-l=1", makeSrc(700, 8, 9), 8, 1},
+		{"empty", nil, 4, 16, 4},
+		{"single-bucket-nB=1", makeSrc(1000, 1, 1), 1, 64, 1},
+		{"n<l-single-subarray", makeSrc(200, 16, 2), 16, 4096, 16},
+		{"all-one-bucket", withBuckets(makeSrc(3000, 1, 3), func(erec) int { return 7 }), 16, 128, 16},
+		{"nB=MaxBuckets-sparse", withBuckets(makeSrc(2000, 4, 4), func(r erec) int { return (r.seq * 31) % MaxBuckets }), MaxBuckets, 256, MaxBuckets},
+		{"empty-buckets", withBuckets(makeSrc(2500, 3, 5), func(r erec) int { return []int{0, 150, 299}[r.b] }), 300, 128, 300},
+		{"byte-id-cache-nB=256", makeSrc(5000, 256, 6), 256, 512, 256},
+		{"word-id-cache-nB=257", makeSrc(5000, 257, 7), 257, 512, 257},
+		{"nB=1024-13-subarrays", makeSrc(50000, 1024, 8), 1024, 4096, 1024},
+		{"many-subarrays-l=1", makeSrc(700, 8, 9), 8, 1, 8},
+		{"absorbed-sentinel", withBuckets(makeSrc(5000, 12, 10), func(r erec) int { return r.b - 4 }), 8, 512, 8},
+		{"all-absorbed", withBuckets(makeSrc(900, 1, 11), func(erec) int { return -1 }), 8, 128, 8},
 	}
 	for _, c := range cases {
-		runAllVariants(t, c.label, c.src, c.nB, c.l)
+		runAllVariants(t, c.label, c.src, c.nB, c.l, c.hLive)
 	}
 }
 
@@ -246,30 +229,7 @@ func TestDistributeVariantsMatchReferenceRandom(t *testing.T) {
 		for i, v := range raw {
 			src[i] = erec{b: int(v) % nB, seq: i}
 		}
-		want, wantStarts := refDistribute(src, nB)
-		for _, buffered := range []bool{false, true} {
-			prev := SetScatterBuffering(buffered)
-			dst := make([]erec, len(src))
-			hsrc := make([]uint64, len(src))
-			hdst := make([]uint64, len(src))
-			for i, r := range src {
-				hsrc[i] = hashOf(r)
-			}
-			starts := StableKeyedInto(nil, src, dst, hsrc, hdst, nB, l, nB,
-				func(i int) int { return src[i].b }, make([]int, nB+1))
-			SetScatterBuffering(prev)
-			for i := range wantStarts {
-				if starts[i] != wantStarts[i] {
-					return false
-				}
-			}
-			for i := range want {
-				if dst[i] != want[i] || hdst[i] != hashOf(want[i]) {
-					return false
-				}
-			}
-		}
-		return true
+		return checkAllVariants(src, nB, l, nB) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -293,6 +253,6 @@ func FuzzDistributeEquivalence(f *testing.F) {
 		for i, v := range raw {
 			src[i] = erec{b: int(v) % nB, seq: i}
 		}
-		runAllVariants(t, "fuzz", src, nB, l)
+		runAllVariants(t, "fuzz", src, nB, l, nB)
 	})
 }

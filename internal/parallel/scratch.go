@@ -88,9 +88,9 @@ func (b *Buf[T]) Zero() { clear(b.S) }
 // Slotted is a pooled per-participant scratch block: one fixed-size lane of
 // T per participant slot, indexed by the dense slot ids ForRangeW hands out.
 // Lanes are padded apart by at least a cache line so participants writing
-// their own lanes never false-share, which is what the buffered scatter in
-// internal/dist needs for its per-bucket staging blocks. Like every arena
-// buffer, lanes come back dirty.
+// their own lanes never false-share, which is what the in-place sorter's
+// per-participant bucket counters (internal/core/inplace.go) need. Like
+// every arena buffer, lanes come back dirty.
 type Slotted[T any] struct {
 	buf    *Buf[T]
 	lane   int

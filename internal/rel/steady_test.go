@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/israce"
 	"repro/internal/obs"
 )
 
@@ -15,7 +16,7 @@ import (
 
 func steadyAllocBound(t *testing.T, name string, run func(), bound float64) {
 	t.Helper()
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
 	}
 	for i := 0; i < 3; i++ {
@@ -82,7 +83,7 @@ func TestJoinSteadyAllocsSizeIndependent(t *testing.T) {
 }
 
 func TestRelStatsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
 	}
 	// Differential form of the stats plane's allocation contract for the

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/israce"
 )
 
 func TestBatcherMetricsFlushReasons(t *testing.T) {
@@ -104,7 +106,7 @@ func TestBatcherMetricsShedAndRetries(t *testing.T) {
 var errTransient = errors.New("transient")
 
 func TestMetricsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
 	}
 	// The gauges are unconditional (no WithStats analogue at this layer),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/israce"
 )
 
 // Deep engine properties of the arena key plane that need internal knobs —
@@ -181,7 +182,7 @@ func TestBucketedEqCountContract(t *testing.T) {
 // Bounds carry headroom over the ~1-10 measured because a GC pass during
 // the run evicts pool contents and the refills count as allocations.
 func TestSteadyAllocsSizeIndependent(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
 	}
 	for _, n := range []int{1 << 16, 1 << 18} {
