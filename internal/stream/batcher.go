@@ -22,8 +22,9 @@ var (
 	ErrQueueFull = errors.New("semisort: stream queue full, record shed")
 
 	// ErrStreamClosed is returned (on the result channel) for records
-	// submitted after Close began. Records enqueued before Close are never
-	// rejected with it — Close drains them.
+	// submitted after Close began. Records submitted before Close —
+	// including those of producers still waiting for queue space when it
+	// began — are never rejected with it: Close drains them.
 	ErrStreamClosed = errors.New("semisort: stream closed")
 )
 
@@ -69,8 +70,10 @@ type Config struct {
 	// Close flush).
 	MaxWait time.Duration
 
-	// QueueDepth bounds the submit queue (default 4*BatchSize). A full
-	// queue blocks producers (backpressure) unless Shed is set.
+	// QueueDepth bounds the submit queue (default 4*BatchSize) beyond the
+	// batch under assembly: the queue holds at most QueueDepth+BatchSize-1
+	// records, so it can always fill a batch. A full queue blocks
+	// producers (backpressure) unless Shed is set.
 	QueueDepth int
 
 	// Shed makes Submit fail fast with ErrQueueFull when the queue is full
@@ -144,20 +147,31 @@ type item[R, O any] struct {
 // locking against each other. Close stops admission, drains the queue,
 // flushes the final partial batch, settles every outstanding result
 // channel, and joins the flusher — a closed Batcher holds no goroutines.
+//
+// Producers and the flusher meet per batch, not per record: a producer
+// appends to a ring under mu and rings the doorbell only when its record
+// makes the ring non-empty or completes a batch; the flusher takes a whole
+// batch under mu and, if producers wait for space, wakes them all at once.
 type Batcher[R, O any] struct {
 	cfg  Config
 	proc func(batch []R) (outs []O, commit func(), err error)
 
-	in   chan item[R, O]
-	done chan struct{}
+	// mu guards the ring and the admission state. The ring holds
+	// QueueDepth+BatchSize-1 items: the queue bound plus a batch under
+	// assembly, so a full ring always holds a full batch.
+	mu      sync.Mutex
+	ring    []item[R, O]
+	head, n int  // oldest item's slot; items queued
+	closed  bool // Close has begun: new producers are refused
+	// blocked counts producers waiting for space. They entered before
+	// Close, so Close admits them; the flusher does not exit until they
+	// have settled. space is closed (and replaced) by the take that frees
+	// their slots.
+	blocked int
+	space   chan struct{}
 
-	// mu serializes Submit's enqueue against Close's close(in): producers
-	// hold it shared for the duration of their send, so the channel is
-	// provably never closed under a sender. Close's exclusive acquisition
-	// waits out blocked producers — who make progress because the flusher
-	// keeps draining until the channel is closed AND empty.
-	mu     sync.RWMutex
-	closed bool
+	bell chan struct{} // 1-buffered doorbell: the flusher has work to look at
+	done chan struct{}
 
 	flushes atomic.Int64 // flush ordinals handed out (= epochs started)
 	faults  atomic.Int64 // flushes that failed after retries
@@ -166,9 +180,10 @@ type Batcher[R, O any] struct {
 	errOnce  sync.Once
 	firstErr atomic.Pointer[BatchError]
 
-	// scratch for the flusher: records copied out of the batch items so
-	// the processor sees a plain []R; reused across flushes.
+	// The flusher's batch, split into the plain []R the processor sees and
+	// the result channels; reused across flushes.
 	recs []R
+	res  []chan Result[O]
 }
 
 // New creates a Batcher and starts its flusher goroutine.
@@ -177,9 +192,10 @@ func New[R, O any](cfg Config, proc func(batch []R) ([]O, func(), error)) *Batch
 		cfg:  cfg.withDefaults(),
 		proc: proc,
 	}
-	b.in = make(chan item[R, O], b.cfg.QueueDepth)
+	b.ring = make([]item[R, O], b.cfg.QueueDepth+b.cfg.BatchSize-1)
+	b.space = make(chan struct{})
+	b.bell = make(chan struct{}, 1)
 	b.done = make(chan struct{})
-	b.recs = make([]R, 0, b.cfg.BatchSize)
 	go b.run()
 	return b
 }
@@ -201,57 +217,93 @@ func (b *Batcher[R, O]) SubmitCtx(ctx context.Context, r R) <-chan Result[O] {
 
 func (b *Batcher[R, O]) submit(ctx context.Context, r R) <-chan Result[O] {
 	res := make(chan Result[O], 1)
-	it := item[R, O]{rec: r, res: res}
-	b.mu.RLock()
+	b.mu.Lock()
 	if b.closed {
-		b.mu.RUnlock()
+		b.mu.Unlock()
 		res <- Result[O]{Err: ErrStreamClosed}
 		return res
 	}
-	enqueued := true
-	switch {
-	case b.cfg.Shed:
-		select {
-		case b.in <- it:
-		default:
-			enqueued = false
+	for b.n == len(b.ring) {
+		if b.cfg.Shed {
+			b.mu.Unlock()
 			b.m.shed.Add(1)
 			res <- Result[O]{Err: ErrQueueFull}
+			return res
 		}
-	case ctx != nil:
-		select {
-		case b.in <- it:
-		case <-ctx.Done():
-			enqueued = false
-			res <- Result[O]{Err: ctx.Err()}
+		if err := b.awaitSpace(ctx); err != nil {
+			b.mu.Unlock()
+			res <- Result[O]{Err: err}
+			return res
 		}
-	default:
-		b.in <- it
 	}
-	if enqueued {
-		b.m.submitted.Add(1)
-		// The depth read races other producers and the flusher's drain; any
-		// value it sees was a real depth at some instant, which is all a
-		// high-water mark claims.
-		casMax(&b.m.queueHighWater, int64(len(b.in)))
+	i := b.head + b.n
+	if i >= len(b.ring) {
+		i -= len(b.ring)
 	}
-	b.mu.RUnlock()
+	b.ring[i] = item[R, O]{rec: r, res: res}
+	b.n++
+	b.m.submitted.Add(1)
+	if d := int64(b.n); d > b.m.queueHighWater.Load() {
+		b.m.queueHighWater.Store(d) // every writer holds mu
+	}
+	wake := b.n == 1 || b.n == b.cfg.BatchSize || b.closing()
+	b.mu.Unlock()
+	if wake {
+		b.wake()
+	}
 	return res
 }
 
+// awaitSpace parks a producer on a full ring until the flusher's next take
+// (or ctx fires), with mu held on entry and on return. The producer counts
+// as blocked while it waits, which is what admits it past a concurrent
+// Close.
+func (b *Batcher[R, O]) awaitSpace(ctx context.Context) error {
+	space := b.space
+	b.blocked++
+	b.mu.Unlock()
+	var err error
+	if ctx == nil {
+		<-space
+	} else {
+		select {
+		case <-space:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	b.mu.Lock()
+	b.blocked--
+	if err != nil && b.closing() {
+		b.wake() // the drain may have been waiting on this producer
+	}
+	return err
+}
+
+// closing reports, with mu held, that Close has begun and no producer
+// admitted before it is still waiting: the ring's contents are final.
+func (b *Batcher[R, O]) closing() bool { return b.closed && b.blocked == 0 }
+
+// wake rings the flusher's doorbell; a ring already pending absorbs it.
+func (b *Batcher[R, O]) wake() {
+	select {
+	case b.bell <- struct{}{}:
+	default:
+	}
+}
+
 // Close stops admission (subsequent Submits deliver ErrStreamClosed),
-// drains every queued record, flushes the final partial batch, waits for
-// the flusher to settle every outstanding result channel and exit, and
-// returns the stream's first flush error (nil if every flush committed).
-// It is idempotent and safe to call concurrently; every caller blocks
-// until the drain completes.
+// drains every queued record — including those of producers already
+// waiting for space when Close began — flushes the final partial batch,
+// waits for the flusher to settle every outstanding result channel and
+// exit, and returns the stream's first flush error (nil if every flush
+// committed). It is idempotent and safe to call concurrently; every caller
+// blocks until the drain completes.
 func (b *Batcher[R, O]) Close() error {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		close(b.in)
-	}
+	b.closed = true
 	b.mu.Unlock()
+	b.wake()
 	<-b.done
 	if e := b.firstErr.Load(); e != nil {
 		return e
@@ -267,69 +319,96 @@ func (b *Batcher[R, O]) Faults() int64 { return b.faults.Load() }
 
 // Closed reports whether Close has begun.
 func (b *Batcher[R, O]) Closed() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.closed
 }
 
 // run is the flusher: it owns batch assembly (flush at BatchSize, at
 // MaxWait after a batch's first record, and at drain) and result delivery.
+// Between flushes it sleeps on the doorbell or the batch's deadline, so it
+// wakes a bounded number of times per batch whatever the record rate.
 func (b *Batcher[R, O]) run() {
 	defer close(b.done)
+	// One deadline timer for the stream's life, armed when a batch gets
+	// its first record and stopped when that batch is taken; deadline is
+	// its channel while armed, nil otherwise.
 	var timer *time.Timer
-	var timeC <-chan time.Time
-	batch := make([]item[R, O], 0, b.cfg.BatchSize)
-	flush := func(reason FlushReason) {
-		if timer != nil {
-			timer.Stop()
-			timer, timeC = nil, nil
-		}
-		if len(batch) == 0 {
-			return
-		}
-		b.flush(batch, reason)
-		clear(batch) // drop record/channel refs so the GC isn't held hostage
-		batch = batch[:0]
+	var deadline <-chan time.Time
+	if b.cfg.MaxWait > 0 {
+		timer = time.NewTimer(b.cfg.MaxWait)
+		timer.Stop()
 	}
+	expired := false
 	for {
-		if len(batch) == 0 {
-			// Empty batch: block for the first record; no deadline runs.
-			it, ok := <-b.in
-			if !ok {
-				return // drained and closed
+		b.mu.Lock()
+		var reason FlushReason
+		switch {
+		case b.n >= b.cfg.BatchSize:
+			reason = FlushBySize
+		case b.n > 0 && b.closing():
+			reason = FlushByDrain // final partial batch
+		case b.n > 0 && expired:
+			reason = FlushByDeadline
+		default:
+			n, drained := b.n, b.closing()
+			b.mu.Unlock()
+			if drained {
+				return // closed and empty, and no admitted producer left
 			}
-			batch = append(batch, it)
-			if len(batch) >= b.cfg.BatchSize {
-				flush(FlushBySize)
-				continue
+			if n > 0 && timer != nil && deadline == nil {
+				timer.Reset(b.cfg.MaxWait)
+				deadline = timer.C
 			}
-			if b.cfg.MaxWait > 0 {
-				timer = time.NewTimer(b.cfg.MaxWait)
-				timeC = timer.C
+			select {
+			case <-b.bell:
+			case <-deadline:
+				deadline, expired = nil, true
 			}
 			continue
 		}
-		select {
-		case it, ok := <-b.in:
-			if !ok {
-				flush(FlushByDrain) // final partial batch
-				continue            // next <-b.in returns !ok immediately
-			}
-			batch = append(batch, it)
-			if len(batch) >= b.cfg.BatchSize {
-				flush(FlushBySize)
-			}
-		case <-timeC:
-			timer, timeC = nil, nil
-			flush(FlushByDeadline)
+		b.take()
+		b.mu.Unlock()
+		if deadline != nil {
+			timer.Stop()
+			deadline = nil
 		}
+		expired = false
+		b.flush(reason)
 	}
 }
 
-// flush runs one epoch: process (with bounded retries), then commit, then
-// result delivery. A fault after retries fails exactly this batch's items
-// with one shared *BatchError.
-func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
+// take moves the oldest batch (at most BatchSize items) out of the ring
+// into the flusher's scratch and wakes every producer waiting for space.
+// Called with mu held.
+func (b *Batcher[R, O]) take() {
+	k := min(b.n, b.cfg.BatchSize)
+	for range k {
+		it := &b.ring[b.head]
+		b.recs = append(b.recs, it.rec)
+		b.res = append(b.res, it.res)
+		*it = item[R, O]{} // drop record/channel refs so the GC isn't held hostage
+		if b.head++; b.head == len(b.ring) {
+			b.head = 0
+		}
+	}
+	b.n -= k
+	b.m.taken.Add(int64(k))
+	if b.blocked > 0 {
+		close(b.space)
+		b.space = make(chan struct{})
+	}
+}
+
+// flush runs one epoch over the taken batch: process (with bounded
+// retries), then commit, then result delivery. A fault after retries
+// fails exactly this batch's items with one shared *BatchError.
+func (b *Batcher[R, O]) flush(reason FlushReason) {
+	defer func() {
+		clear(b.recs)
+		clear(b.res)
+		b.recs, b.res = b.recs[:0], b.res[:0]
+	}()
 	epoch := b.flushes.Add(1)
 	switch reason {
 	case FlushBySize:
@@ -339,11 +418,8 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 	case FlushByDrain:
 		b.m.flushDrain.Add(1)
 	}
-	b.m.flushRecords.Observe(int64(len(batch)))
-	b.recs = b.recs[:0]
-	for _, it := range batch {
-		b.recs = append(b.recs, it.rec)
-	}
+	records := len(b.recs)
+	b.m.flushRecords.Observe(int64(records))
 	t0 := time.Now()
 	var outs []O
 	var err error
@@ -351,7 +427,7 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 		outs, err = b.attempt(epoch, attempt)
 		if err == nil || attempt >= b.cfg.Retries || !b.cfg.RetryIf(err) {
 			if err != nil {
-				err = &BatchError{Epoch: epoch, Records: len(batch), Attempts: attempt + 1,
+				err = &BatchError{Epoch: epoch, Records: records, Attempts: attempt + 1,
 					Reason: reason, Cause: err}
 			}
 			break
@@ -359,11 +435,11 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 		b.m.retries.Add(1)
 		time.Sleep(b.cfg.Backoff << attempt)
 	}
-	if err == nil && len(outs) != len(batch) {
+	if err == nil && len(outs) != records {
 		// A processor contract violation is a bug, not a data fault — but
 		// it must still fail the batch rather than mis-deliver results.
-		err = &BatchError{Epoch: epoch, Records: len(batch), Attempts: 1, Reason: reason,
-			Cause: fmt.Errorf("semisort: stream processor returned %d outputs for %d records", len(outs), len(batch))}
+		err = &BatchError{Epoch: epoch, Records: records, Attempts: 1, Reason: reason,
+			Cause: fmt.Errorf("semisort: stream processor returned %d outputs for %d records", len(outs), records)}
 	}
 	if err == nil {
 		// Commit latency: first attempt start through commit return, the
@@ -374,13 +450,13 @@ func (b *Batcher[R, O]) flush(batch []item[R, O], reason FlushReason) {
 		b.faults.Add(1)
 		be := err.(*BatchError)
 		b.errOnce.Do(func() { b.firstErr.Store(be) })
-		for _, it := range batch {
-			it.res <- Result[O]{Err: be}
+		for _, res := range b.res {
+			res <- Result[O]{Err: be}
 		}
 		return
 	}
-	for i, it := range batch {
-		it.res <- Result[O]{Out: outs[i]}
+	for i, res := range b.res {
+		res <- Result[O]{Out: outs[i]}
 	}
 }
 

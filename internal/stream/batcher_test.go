@@ -367,3 +367,212 @@ func TestProcessorOutputContract(t *testing.T) {
 	}
 	b.Close()
 }
+
+// The queue contract: what a bounded channel and a reader-writer lock
+// around it gave implicitly, and the batcher's ring must keep explicitly.
+
+// enteredCtx is a context that never fires and closes entered the first
+// time Done is asked for — the moment SubmitCtx commits to waiting for
+// queue space.
+type enteredCtx struct {
+	context.Context
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (c *enteredCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.entered) })
+	return nil
+}
+
+// TestCloseAdmitsBlockedProducers: producers already waiting on a full
+// queue when Close begins are admitted — they get real results, not
+// ErrStreamClosed — and Close returns only after they settle.
+func TestCloseAdmitsBlockedProducers(t *testing.T) {
+	gate := make(chan struct{})
+	var commits atomic.Int64
+	echo := echoProc(&commits)
+	b := New(Config{BatchSize: 2, MaxWait: -1, QueueDepth: 2},
+		func(batch []int) ([]int, func(), error) {
+			if batch[0] == 0 {
+				<-gate // the first batch parks the flusher
+			}
+			return echo(batch)
+		})
+	chans := []<-chan Result[int]{b.Submit(0), b.Submit(1)}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Flushes() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("flusher never picked up the first batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	chans = append(chans, b.Submit(2), b.Submit(3)) // QueueDepth records wait
+	// Producers past the queue bound wait for space; each is known to wait
+	// once SubmitCtx asks its context for Done. (The first may find room
+	// and return at once: the queue also holds a batch under assembly, one
+	// record short of a flush.)
+	const waiting = 4
+	blocked := make([]chan (<-chan Result[int]), waiting)
+	for p := range blocked {
+		ctx := &enteredCtx{Context: context.Background(), entered: make(chan struct{})}
+		blocked[p] = make(chan (<-chan Result[int]), 1)
+		go func(p int) { blocked[p] <- b.SubmitCtx(ctx, 100+p) }(p)
+		select {
+		case <-ctx.entered:
+		case res := <-blocked[p]:
+			blocked[p] <- res
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	// Give Close time to begin before the flusher is released. The
+	// assertions hold in either order; the sleep only makes the order
+	// under test the common one.
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while admitted records were still queued", err)
+	default:
+	}
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, r := range collect(t, chans) {
+		if r.Err != nil || r.Out != i {
+			t.Fatalf("record %d: got (%d, %v)", i, r.Out, r.Err)
+		}
+	}
+	for p := range blocked {
+		var c <-chan Result[int]
+		select {
+		case c = <-blocked[p]:
+		default:
+			t.Fatalf("producer %d still inside SubmitCtx after Close returned", p)
+		}
+		select {
+		case r := <-c:
+			if r.Err != nil || r.Out != 100+p {
+				t.Fatalf("blocked producer %d: got (%d, %v), want its own record back", p, r.Out, r.Err)
+			}
+		default:
+			t.Fatalf("blocked producer %d unsettled after Close returned", p)
+		}
+	}
+	if m := b.Metrics(); m.Submitted != int64(len(chans)+waiting) {
+		t.Fatalf("submitted %d, want %d", m.Submitted, len(chans)+waiting)
+	}
+}
+
+// TestQueueShallowerThanBatch: a queue bound below the batch size still
+// fills batches — every record is delivered in size-triggered flushes.
+func TestQueueShallowerThanBatch(t *testing.T) {
+	var commits atomic.Int64
+	b := New(Config{BatchSize: 64, MaxWait: -1, QueueDepth: 8}, echoProc(&commits))
+	const batches = 10
+	chans := make([]<-chan Result[int], 64*batches)
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := range chans {
+			chans[i] = b.Submit(i)
+		}
+	}()
+	select {
+	case <-submitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("producer stuck on a full queue that never filled a batch")
+	}
+	for i, r := range collect(t, chans) {
+		if r.Err != nil || r.Out != i {
+			t.Fatalf("record %d: got (%d, %v)", i, r.Out, r.Err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if m := b.Metrics(); m.FlushBySize != batches || m.Flushes != batches {
+		t.Fatalf("%d flushes, %d by size; want %d, all by size", m.Flushes, m.FlushBySize, batches)
+	}
+}
+
+// TestSingleProducerBatchesInOrder: with one producer and size-only
+// flushing, flush k holds exactly records [(k-1)B, kB) — the batch
+// composition the chaos suite's flush-ordinal injectors rely on — also
+// when the producer keeps running into a full queue.
+func TestSingleProducerBatchesInOrder(t *testing.T) {
+	const bs, batches = 16, 12
+	var got [][]int // appended by the flusher, read after Close joined it
+	b := New(Config{BatchSize: bs, MaxWait: -1, QueueDepth: 4},
+		func(batch []int) ([]int, func(), error) {
+			got = append(got, append([]int(nil), batch...))
+			return append([]int(nil), batch...), nil, nil
+		})
+	for i := 0; i < bs*batches; i++ {
+		b.Submit(i)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(got) != batches {
+		t.Fatalf("%d flushes, want %d", len(got), batches)
+	}
+	for k, batch := range got {
+		if len(batch) != bs {
+			t.Fatalf("flush %d holds %d records, want %d", k+1, len(batch), bs)
+		}
+		for j, r := range batch {
+			if r != k*bs+j {
+				t.Fatalf("flush %d position %d holds record %d, want %d", k+1, j, r, k*bs+j)
+			}
+		}
+	}
+}
+
+// TestQueueDepthGauge: the depth gauge counts every record waiting for a
+// flush, never exceeds the queue's capacity (QueueDepth+BatchSize-1), and
+// reads 0 once Close has drained the stream.
+func TestQueueDepthGauge(t *testing.T) {
+	const bs, depth = 8, 4
+	gate := make(chan struct{})
+	var commits atomic.Int64
+	echo := echoProc(&commits)
+	b := New(Config{BatchSize: bs, MaxWait: -1, QueueDepth: depth},
+		func(batch []int) ([]int, func(), error) {
+			<-gate
+			return echo(batch)
+		})
+	// Producers outrun the parked flusher until the queue is full, then
+	// wait for space.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 6*bs; i++ {
+			b.Submit(i)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Metrics().QueueDepth < depth {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d never reached %d", b.Metrics().QueueDepth, depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	m := b.Metrics()
+	if m.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after Close, want 0", m.QueueDepth)
+	}
+	if m.QueueHighWater < depth || m.QueueHighWater > depth+bs-1 {
+		t.Fatalf("queue high water %d, want within [%d, %d]", m.QueueHighWater, depth, depth+bs-1)
+	}
+	if m.Submitted != 6*bs || commits.Load() != 6 {
+		t.Fatalf("submitted %d, committed %d flushes; want %d, 6", m.Submitted, commits.Load(), 6*bs)
+	}
+}

@@ -37,24 +37,15 @@ func (r FlushReason) String() string {
 // fixed-bucket histograms. Snapshot lock-free by Metrics.
 type bMetrics struct {
 	submitted      atomic.Int64      // records accepted into the queue
+	taken          atomic.Int64      // records the flusher took out of the queue
 	shed           atomic.Int64      // records refused with ErrQueueFull
-	queueHighWater atomic.Int64      // max queue depth observed at enqueue (CAS-max)
+	queueHighWater atomic.Int64      // max queue depth at any enqueue (stored under the batcher's mu)
 	retries        atomic.Int64      // extra process attempts across all flushes
 	flushSize      atomic.Int64      // flushes triggered by BatchSize
 	flushDeadline  atomic.Int64      // flushes triggered by MaxWait
 	flushDrain     atomic.Int64      // flushes triggered by Close's drain
 	flushRecords   obs.AtomicLogHist // batch sizes, log2 buckets
 	commitNS       obs.AtomicLogHist // successful flush latency (process+commit), ns
-}
-
-// casMax raises g to v if v is larger (the lock-free high-water update).
-func casMax(g *atomic.Int64, v int64) {
-	for {
-		cur := g.Load()
-		if v <= cur || g.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Metrics is one lock-free snapshot of a Batcher's counters. Each field is
@@ -66,8 +57,10 @@ type Metrics struct {
 	// a shedding stream refused with ErrQueueFull (never enqueued).
 	Submitted int64
 	Shed      int64
-	// QueueDepth is the instantaneous queue length; QueueHighWater the
-	// deepest the queue has been at any enqueue.
+	// QueueDepth is the number of records waiting for a flush, the batch
+	// under assembly included; QueueHighWater the most there have been at
+	// any enqueue. Both are bounded by QueueDepth+BatchSize-1 of the
+	// Config: the queue bound plus a batch one record short of a flush.
 	QueueDepth     int64
 	QueueHighWater int64
 	// Flushes / Faults mirror the Flushes() and Faults() accessors; Retries
@@ -90,10 +83,14 @@ type Metrics struct {
 // safe to call from a monitoring goroutine while producers and the flusher
 // run at full rate.
 func (b *Batcher[R, O]) Metrics() Metrics {
+	// taken is read first: it never exceeds submitted, so the difference
+	// is never negative.
+	taken := b.m.taken.Load()
+	submitted := b.m.submitted.Load()
 	return Metrics{
-		Submitted:       b.m.submitted.Load(),
+		Submitted:       submitted,
 		Shed:            b.m.shed.Load(),
-		QueueDepth:      int64(len(b.in)),
+		QueueDepth:      submitted - taken,
 		QueueHighWater:  b.m.queueHighWater.Load(),
 		Flushes:         b.flushes.Load(),
 		Faults:          b.faults.Load(),

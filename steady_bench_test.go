@@ -6,7 +6,10 @@
 package semisort_test
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	semisort "repro"
 	"repro/internal/bench"
@@ -67,4 +70,59 @@ func BenchmarkSortEqSteadyStateOwnRuntime(b *testing.B) {
 	rt := semisort.NewRuntime(0)
 	data := steadyData(1<<19, dist.Spec{Kind: dist.Zipfian, Param: 1.2})
 	benchSteady(b, data, semisort.WithRuntime(rt))
+}
+
+// BenchmarkDedupStreamSteadyState is the streaming service's steady state:
+// a closed loop of one producer submitting Zipf-1.2 records into a
+// DedupStream (batch 4096, the 2ms deadline of the benchmark's stream
+// workload) and an in-order collector awaiting each result. One op is one
+// pass over the records; the stream and its seen-set persist across ops.
+// It reports Mrec/s and heap objects per record — two of them are the
+// result channel Submit returns.
+func BenchmarkDedupStreamSteadyState(b *testing.B) {
+	data := steadyData(1<<18, dist.Spec{Kind: dist.Zipfian, Param: 1.2})
+	s := semisort.NewDedupStream(func(p bench.P64) uint64 { return p.K }, semisort.Hash64,
+		func(x, y uint64) bool { return x == y },
+		semisort.WithBatchSize(4096), semisort.WithMaxWait(2*time.Millisecond))
+	chans := make([]<-chan semisort.StreamResult[semisort.DedupKept], len(data))
+	pass := func() {
+		var published atomic.Int64
+		notify := make(chan struct{}, 1)
+		go func() {
+			for i, p := range data {
+				chans[i] = s.Submit(p)
+				if i%256 == 255 || i == len(data)-1 {
+					published.Store(int64(i + 1))
+					select {
+					case notify <- struct{}{}:
+					default:
+					}
+				}
+			}
+		}()
+		for i := range chans {
+			for int(published.Load()) <= i {
+				<-notify
+			}
+			if r := <-chans[i]; r.Err != nil {
+				b.Fatalf("record %d: %v", i, r.Err)
+			}
+			chans[i] = nil
+		}
+	}
+	pass() // warm the seen-set and the flusher's scratch
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	recs := float64(b.N) * float64(len(data))
+	b.ReportMetric(recs/b.Elapsed().Seconds()/1e6, "Mrec/s")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/recs, "allocs/rec")
+	if err := s.Close(); err != nil {
+		b.Fatalf("Close: %v", err)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/rel"
 	"repro/internal/stream"
 )
 
@@ -62,8 +63,9 @@ func WithMaxWait(d time.Duration) StreamOption {
 	}
 }
 
-// WithQueueDepth bounds the submit queue (default 4x the batch size). A
-// full queue blocks producers — backpressure — unless WithShedding is set.
+// WithQueueDepth bounds the submit queue: n records may wait beyond the
+// batch under assembly (default 4x the batch size). A full queue blocks
+// producers — backpressure — unless WithShedding is set.
 func WithQueueDepth(n int) StreamOption {
 	return func(c *streamConfig) { c.b.QueueDepth = n }
 }
@@ -197,34 +199,51 @@ func NewDedupStream[R, K any](key func(R) K, hash func(K) uint64, eq func(K, K) 
 	opts ...StreamOption) *DedupStream[R, K] {
 	sc := buildStreamConfig(opts)
 	ds := &DedupStream[R, K]{seen: stream.NewSeenSet[K]()}
+	wkey := func(x ixRec[R]) K { return key(x.R) }
+	// Flusher-owned scratch, reused across flushes: a stream has exactly
+	// one flusher, outs is read only by the delivery that ends the flush,
+	// and the staged delta (dh, dk) is consumed by the same attempt's
+	// commit.
+	var (
+		wrapped []ixRec[R]
+		outs    []DedupKept
+		hs, dh  []uint64
+		dk      []K
+	)
+	commit := func() {
+		ds.mu.Lock()
+		ds.seen.Insert(dh, dk)
+		ds.mu.Unlock()
+	}
 	proc := func(batch []R) ([]DedupKept, func(), error) {
 		callOpts, cancel := sc.callOpts()
 		defer cancel()
-		wrapped := make([]ixRec[R], len(batch))
+		wrapped = wrapped[:0]
 		for i, r := range batch {
-			wrapped[i] = ixRec[R]{R: r, I: int32(i)}
+			wrapped = append(wrapped, ixRec[R]{R: r, I: int32(i)})
 		}
-		surv, err := DedupE(wrapped,
-			func(x ixRec[R]) K { return key(x.R) }, hash, eq, callOpts...)
+		var surv []ixRec[R]
+		var err error
+		surv, hs, err = dedupHashed(wrapped, wkey, hash, eq, hs, callOpts)
+		clear(wrapped) // do not pin the batch's records until the next flush
 		if err != nil {
 			return nil, nil, err
 		}
 		// Probe phase: read-only against the seen-set, under the read
-		// lock (deferred unlock — key/hash/eq are user callbacks and may
-		// panic; the lock must not outlive the fault).
-		outs := make([]DedupKept, len(batch))
-		var dh []uint64
-		var dk []K
+		// lock (deferred unlock — key and eq are user callbacks and may
+		// panic; the lock must not outlive the fault). Each survivor's
+		// hash comes from the driver call, which hashed every record once.
+		outs = append(outs[:0], make([]DedupKept, len(batch))...)
+		dh, dk = dh[:0], dk[:0]
 		var total int64
 		func() {
 			ds.mu.RLock()
 			defer ds.mu.RUnlock()
-			for _, s := range surv {
+			for j, s := range surv {
 				k := key(s.R)
-				h := hash(k)
-				if !ds.seen.Contains(h, k, eq) {
+				if !ds.seen.Contains(hs[j], k, eq) {
 					outs[s.I].Kept = true
-					dh = append(dh, h)
+					dh = append(dh, hs[j])
 					dk = append(dk, k)
 				}
 			}
@@ -233,15 +252,31 @@ func NewDedupStream[R, K any](key func(R) K, hash func(K) uint64, eq func(K, K) 
 		for i := range outs {
 			outs[i].Distinct = total
 		}
-		commit := func() {
-			ds.mu.Lock()
-			ds.seen.Insert(dh, dk)
-			ds.mu.Unlock()
-		}
 		return outs, commit, nil
 	}
 	ds.b = stream.New(sc.b, proc)
 	return ds
+}
+
+// dedupHashed is DedupE that also returns each survivor's user hash, taken
+// from the driver's output plane into hs (reused), so a caller probing
+// state with the survivors never calls hash again. The plane is released
+// before the call guard settles.
+func dedupHashed[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool,
+	hs []uint64, opts []Option) (out []R, _ []uint64, err error) {
+	cfg := buildConfig(opts)
+	done, aerr := enterCall(&cfg)
+	if aerr != nil {
+		return nil, hs, aerr
+	}
+	defer done(&err)
+	out, hout := rel.DedupPlane(a, nil, true, key, hash, eq, cfg)
+	hs = hs[:0]
+	if hout != nil {
+		hs = append(hs, hout.S...)
+		hout.Release()
+	}
+	return out, hs, nil
 }
 
 // Submit enqueues one record; see Batcher semantics in the package docs:
@@ -307,6 +342,19 @@ func NewTopKStream[R, K any](key func(R) K, hash func(K) uint64, eq func(K, K) b
 	opts ...StreamOption) *TopKStream[R, K] {
 	sc := buildStreamConfig(opts)
 	ts := &TopKStream[R, K]{sk: stream.NewCountSketch[K](sc.decay, sc.prune), key: key}
+	// The staged delta is flusher-owned scratch, reused across flushes:
+	// CountSketch.Commit copies what it keeps.
+	var (
+		slots []int
+		hs    []uint64
+		ks    []K
+		adds  []float64
+	)
+	commit := func() {
+		ts.mu.Lock()
+		ts.sk.Commit(slots, hs, ks, adds)
+		ts.mu.Unlock()
+	}
 	proc := func(batch []R) ([]struct{}, func(), error) {
 		callOpts, cancel := sc.callOpts()
 		defer cancel()
@@ -316,25 +364,18 @@ func NewTopKStream[R, K any](key func(R) K, hash func(K) uint64, eq func(K, K) b
 		}
 		// Resolve phase: find each batch key's existing slot (or -1)
 		// read-only, so the commit below runs no user callback.
-		slots := make([]int, len(hist))
-		hs := make([]uint64, len(hist))
-		ks := make([]K, len(hist))
-		adds := make([]float64, len(hist))
+		slots, hs, ks, adds = slots[:0], hs[:0], ks[:0], adds[:0]
 		func() {
 			ts.mu.RLock()
 			defer ts.mu.RUnlock()
-			for i, kc := range hist {
-				hs[i] = hash(kc.Key)
-				ks[i] = kc.Key
-				adds[i] = float64(kc.Count)
-				slots[i] = ts.sk.Resolve(hs[i], kc.Key, eq)
+			for _, kc := range hist {
+				h := hash(kc.Key)
+				hs = append(hs, h)
+				ks = append(ks, kc.Key)
+				adds = append(adds, float64(kc.Count))
+				slots = append(slots, ts.sk.Resolve(h, kc.Key, eq))
 			}
 		}()
-		commit := func() {
-			ts.mu.Lock()
-			ts.sk.Commit(slots, hs, ks, adds)
-			ts.mu.Unlock()
-		}
 		return make([]struct{}, len(batch)), commit, nil
 	}
 	ts.b = stream.New(sc.b, proc)
@@ -407,11 +448,14 @@ func NewJoinStream[R, S, K, T any](keyA func(R) K, keyB func(S) K,
 	opts ...StreamOption) *JoinStream[R, S, K, T] {
 	sc := buildStreamConfig(opts)
 	js := &JoinStream[R, S, K, T]{bt: stream.NewBuildTable[S](), keyB: keyB, hash: hash}
+	// The outer slice is flusher-owned scratch, reused across flushes; each
+	// record's matches are a fresh slice, delivered to the user.
+	var outs [][]T
 	proc := func(batch []R) ([][]T, func(), error) {
 		// Probe-only: no cross-batch state is written, so there is no
 		// commit. The read lock serializes against AddBuild commits;
 		// deferred unlock survives user-callback panics.
-		outs := make([][]T, len(batch))
+		outs = append(outs[:0], make([][]T, len(batch))...)
 		func() {
 			js.mu.RLock()
 			defer js.mu.RUnlock()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	semisort "repro"
+	"repro/internal/israce"
 )
 
 type ev struct {
@@ -386,6 +387,87 @@ func TestStreamFlushTimeout(t *testing.T) {
 	}
 	if s.Distinct() != 8 {
 		t.Fatalf("Distinct=%d, want 8", s.Distinct())
+	}
+}
+
+// TestDedupStreamHashOnce: a DedupStream calls the user hash exactly once
+// per submitted record. The seen-set probe takes each survivor's hash from
+// the driver call's output plane instead of hashing it again.
+func TestDedupStreamHashOnce(t *testing.T) {
+	for _, c := range []struct {
+		batch, batches int
+		domain         uint64
+	}{
+		{64, 20, 50},       // every batch repeats keys of earlier ones
+		{4096, 4, 1 << 20}, // mostly distinct
+		{4096, 4, 300},     // heavy keys
+	} {
+		var calls atomic.Int64
+		hash := func(k uint64) uint64 { calls.Add(1); return semisort.Hash64(k) }
+		data := evData(c.batch*c.batches, c.domain, c.domain)
+		s := semisort.NewDedupStream[ev, uint64](evKey, hash, evEq,
+			semisort.WithBatchSize(c.batch), semisort.WithMaxWait(-1))
+		chans := make([]<-chan semisort.StreamResult[semisort.DedupKept], len(data))
+		for i, e := range data {
+			chans[i] = s.Submit(e)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wantKept, _ := oneShotFirstOccurrence(data)
+		for i, ch := range chans {
+			if r := <-ch; r.Err != nil || r.Out.Kept != wantKept[i] {
+				t.Fatalf("batch %d domain %d: record %d (%+v), want Kept=%v", c.batch, c.domain, i, r, wantKept[i])
+			}
+		}
+		if got := calls.Load(); got != int64(len(data)) {
+			t.Errorf("batch %d domain %d: %d hash calls for %d records, want exactly one per record",
+				c.batch, c.domain, got, len(data))
+		}
+	}
+}
+
+// TestDedupStreamSteadyAllocs: after warm-up, a DedupStream allocates per
+// record only the result channel Submit returns (two objects) and per
+// flush a small constant: the flusher's batch, the processor's wrapped
+// records, outputs and staged delta are reused across flushes.
+func TestDedupStreamSteadyAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation bounds are meaningless under -race instrumentation")
+	}
+	const batch, batches = 4096, 4
+	const n = batch * batches
+	s := semisort.NewDedupStream[ev, uint64](evKey, semisort.Hash64, evEq,
+		semisort.WithBatchSize(batch), semisort.WithMaxWait(-1))
+	data := make([]ev, n)
+	chans := make([]<-chan semisort.StreamResult[semisort.DedupKept], n)
+	var cycles uint64
+	cycle := func() {
+		// Every cycle draws from 4096 new keys, each about four times, so
+		// every flush stages and commits new keys.
+		cycles++
+		for i := range data {
+			data[i] = ev{K: cycles<<32 | mix64(uint64(i))%4096}
+		}
+		for i, e := range data {
+			chans[i] = s.Submit(e)
+		}
+		for _, c := range chans {
+			if r := <-c; r.Err != nil {
+				t.Fatalf("record failed: %v", r.Err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	perCycle := testing.AllocsPerRun(5, cycle)
+	if perFlush := (perCycle - 2*n) / batches; perFlush > 16 {
+		t.Errorf("%.0f objects per cycle of %d records: %.1f per flush beyond the 2 per record, want <= 16",
+			perCycle, n, perFlush)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
