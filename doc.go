@@ -165,7 +165,7 @@
 // branch-on-nil when off and allocation-free in steady state when on.
 // WithStats fills a CallStats with one call's counters — levels planned,
 // records classified/scattered/absorbed, bytes moved, the hash/probe/eq
-// contract counts, the leaf mix, per-phase wall time — and on a pipeline
+// contract counts, the leaf counts, per-phase wall time — and on a pipeline
 // additionally records per-stage stats:
 //
 //	var s semisort.CallStats

@@ -15,7 +15,7 @@ import (
 // The stats table (`semibench -stats`): one instrumented call per steady
 // cell shape, reporting the engine's own view of the work — levels planned
 // and how they ran, classify/scatter/absorb volumes and bytes moved, the
-// hash/probe/eq contract counters, the leaf mix, and per-phase wall time.
+// hash/probe/eq contract counters, the leaf counts, and per-phase wall time.
 // Unlike the timing suite it runs each cell ONCE (counters are exact, not
 // sampled, so rounds add nothing), and it is diffable PR against PR the way
 // BENCH_steady.json is: a plan change shows up as a level/heavy-key shift

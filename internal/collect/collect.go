@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/parallel"
-	"repro/internal/sampling"
 )
 
 // KV is one key with its reduced value.
@@ -336,16 +335,6 @@ func (s *reducer[R, K, E]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDe
 	return nd
 }
 
-// crScratch is the pooled base-case scratch: open-addressing slots (index
-// into the emitted chunk), the slot's full cached hash (so eq and its key
-// extraction run only when two 64-bit hashes agree), and the list of
-// dirtied slot indices for O(used) reset.
-type crScratch struct {
-	slots  []int32
-	hashes []uint64
-	order  []uint64
-}
-
 // base runs baseImpl under the stats plane's leaf accounting
 // (branch-on-nil when stats are disabled).
 func (s *reducer[R, K, E]) base(cur []R, hcur []uint64) *node[K, E] {
@@ -365,20 +354,8 @@ func (s *reducer[R, K, E]) base(cur []R, hcur []uint64) *node[K, E] {
 func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *node[K, E] {
 	n := len(cur)
 	sc := s.d.Scratch()
-	m := sampling.CeilPow2(2 * n)
-	scr := parallel.GetObj[crScratch](sc)
-	if len(scr.slots) < m {
-		scr.slots = make([]int32, m)
-		for i := range scr.slots {
-			scr.slots[i] = -1
-		}
-		scr.hashes = make([]uint64, m)
-	}
-	// Slot indices come from hashutil.Slot: the recursion consumed low hash
-	// windows as bucket ids, so a leaf's records share their low bits and a
-	// low-bits index would collapse the table into a few linear clusters.
-	mask, shift := uint64(m-1), hashutil.SlotShift(m)
-	slots, hashes := scr.slots, scr.hashes
+	t := core.GetLeafTable(sc, n)
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
 	own := parallel.GetBuf[KV[K, E]](sc, n)
 	out := own.S[:0]
 	if s.countOnly {
@@ -389,13 +366,11 @@ func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *node[K, E] {
 		cout := any(out).([]KV[K, int64])
 		for idx := 0; idx < n; idx++ {
 			h := hcur[idx]
-			i := hashutil.Slot(h, shift)
+			i := t.Home(h)
 			for {
 				si := slots[i]
 				if si < 0 {
-					slots[i] = int32(len(cout))
-					hashes[i] = h
-					scr.order = append(scr.order, i)
+					t.Claim(i, int32(len(cout)), h)
 					cout = append(cout, KV[K, int64]{Key: s.Key(cur[idx]), Value: 1})
 					break
 				}
@@ -410,13 +385,11 @@ func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *node[K, E] {
 	} else {
 		for idx := 0; idx < n; idx++ {
 			h := hcur[idx]
-			i := hashutil.Slot(h, shift)
+			i := t.Home(h)
 			for {
 				si := slots[i]
 				if si < 0 {
-					slots[i] = int32(len(out))
-					hashes[i] = h
-					scr.order = append(scr.order, i)
+					t.Claim(i, int32(len(out)), h)
 					out = append(out, KV[K, E]{Key: s.Key(cur[idx]), Value: s.Combine(s.Identity, s.Map(cur[idx]))})
 					break
 				}
@@ -428,11 +401,7 @@ func (s *reducer[R, K, E]) baseImpl(cur []R, hcur []uint64) *node[K, E] {
 			}
 		}
 	}
-	for _, i := range scr.order {
-		slots[i] = -1
-	}
-	scr.order = scr.order[:0]
-	parallel.PutObj(sc, scr)
+	t.Release(sc)
 	own.S = out
 	nd := parallel.GetObj[node[K, E]](sc)
 	nd.own, nd.kids = own, nil

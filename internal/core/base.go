@@ -1,10 +1,9 @@
 package core
 
 import (
-	"repro/internal/dist"
 	"repro/internal/hashutil"
-	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/sampling"
 )
 
 // Base cases of the Local Refining step (Section 3.3). Both variants
@@ -13,189 +12,171 @@ import (
 // arena, so it is recycled both across the thousands of light buckets of
 // one call and across repeated calls sharing a runtime.
 //
-// The semisort= base case is built on the hash-once pipeline: the bucket
-// arrives with every record's cached 64-bit user hash, so instead of the
-// paper's chained hash table (one random cache-missing probe per record
-// into a table of 2n slots) it keeps splitting by fresh windows of the
-// cached hash — serial, stable, streaming counting sorts via
-// dist.SerialFilledInto with a byte-wide id plane, which covers the 256-way
-// splits — until groups are tiny, then groups each leaf with a linear
-// representative scan gated by full-hash equality. The user closures are
-// untouched on collision-free inputs: hashes come from the cache, and eq
-// (with its key extractions) runs only when two full 64-bit hashes agree.
+// The semisort= base case is the paper's hash table, built on the hash-once
+// pipeline: the bucket arrives with every record's cached 64-bit user hash,
+// so one pass probes each cached hash into an open-addressing LeafTable and
+// assigns dense group ids in first-appearance order, and one stable scatter
+// by group id lands the grouped bucket. The user closures are untouched on
+// collision-free inputs: hashes come from the cache, and eq (with its key
+// extractions) runs only when two full 64-bit hashes agree.
 
-// eqSplitBits caps how many cached-hash bits one base-case split consumes
-// (256-way: exactly what the byte-wide id plane of dist.SerialFilledInto
-// holds). Small buckets consume fewer bits so the per-split fixed costs
-// (counters, prefix, leaf dispatch) stay proportional to the bucket.
-const eqSplitBits = 8
-
-// eqTinyCutoff is the group size below which splitting stops and the leaf
-// grouper runs. Leaves this small are L1-resident.
-const eqTinyCutoff = 48
-
-// eqSplitWidth returns how many hash bits to consume splitting an n-record
-// group: enough for leaves of about eqTinyCutoff/2 records, at most
-// eqSplitBits.
-func eqSplitWidth(n int) uint {
-	bits := uint(ceilLog2(n/(eqTinyCutoff/2) + 1))
-	if bits > eqSplitBits {
-		return eqSplitBits
-	}
-	if bits < 2 {
-		return 2
-	}
-	return bits
+// LeafTable is the open-addressing hash table of every hash-table base
+// case: the sorter's grouper, collect's combine table, dedup's keep-first
+// table, distinct counting and the grouped join's group match. Each slot
+// holds an op-defined int32 payload (-1 when empty) beside the entry's full
+// cached hash, so a probe runs eq (and its key extraction) only when two
+// full 64-bit hashes agree. The probe loops live in the ops; the table owns
+// sizing and reset. Outside the MaxDepth fallback a leaf holds at most
+// alpha records, so its table has at most 2·alpha slots and stays
+// cache-resident.
+type LeafTable struct {
+	Slots  []int32
+	Hashes []uint64
+	Mask   uint64 // live slot count - 1
+	shift  uint
+	used   []uint64 // claimed slots, for the O(used) reset
 }
 
-// eqScratch holds the reusable arrays of the semisort= leaf grouper: per
-// distinct key a representative (full hash, first index, lazily extracted
-// key), per record its distinct-key index. Pooled via the arena; cached key
-// values are cleared before pooling so the arena does not pin caller state
+// GetLeafTable takes an empty table for n entries from the arena (see
+// size); Release returns it.
+func GetLeafTable(sc *parallel.Scratch, n int) *LeafTable {
+	t := parallel.GetObj[LeafTable](sc)
+	t.size(n)
+	return t
+}
+
+// Release empties the claimed slots and returns t to the arena.
+func (t *LeafTable) Release(sc *parallel.Scratch) {
+	t.reset()
+	parallel.PutObj(sc, t)
+}
+
+// size shapes the table for n entries: CeilPow2(2n) live slots (load at
+// most 1/2). Pooled arrays only grow, and unused slots stay empty.
+func (t *LeafTable) size(n int) {
+	m := sampling.CeilPow2(2 * n)
+	if len(t.Slots) < m {
+		t.Slots = make([]int32, m)
+		for i := range t.Slots {
+			t.Slots[i] = -1
+		}
+		t.Hashes = make([]uint64, m)
+	}
+	t.Mask, t.shift = uint64(m-1), hashutil.SlotShift(m)
+}
+
+// Home is the first slot a probe for h visits. It comes from hashutil.Slot:
+// the recursion consumed low hash windows as bucket ids, so a leaf's
+// records share their low bits and a low-bits index would collapse the
+// table into a few linear clusters.
+func (t *LeafTable) Home(h uint64) uint64 { return hashutil.Slot(h, t.shift) }
+
+// Claim fills the empty slot i with payload v and full hash h.
+func (t *LeafTable) Claim(i uint64, v int32, h uint64) {
+	t.Slots[i], t.Hashes[i] = v, h
+	t.used = append(t.used, i)
+}
+
+// reset empties the claimed slots.
+func (t *LeafTable) reset() {
+	for _, i := range t.used {
+		t.Slots[i] = -1
+	}
+	t.used = t.used[:0]
+}
+
+// groupScratch is the semisort= base case's pooled scratch: the table
+// (slot payload: group id), per group its representative record, its lazily
+// extracted key and its record count, and per record its group id. Cached
+// keys are cleared before pooling so the arena does not pin caller state
 // beyond the records themselves.
-type eqScratch[K any] struct {
-	repH    []uint64
-	repIdx  []int32
+type groupScratch[K any] struct {
+	tbl     LeafTable
+	rep     []int32
 	counts  []int32
-	recDist []int32
+	gid     []int32
 	keys    []K
 	haveKey []bool
 }
 
-func (s *eqScratch[K]) grow(n int) {
-	if len(s.recDist) < n {
-		s.repH = make([]uint64, n)
-		s.repIdx = make([]int32, n)
-		s.counts = make([]int32, n)
-		s.recDist = make([]int32, n)
-		s.keys = make([]K, n)
-		s.haveKey = make([]bool, n)
+func (g *groupScratch[K]) grow(n int) {
+	g.tbl.size(n)
+	if len(g.gid) < n {
+		g.rep = make([]int32, n)
+		g.counts = make([]int32, n)
+		g.gid = make([]int32, n)
+		g.keys = make([]K, n)
+		g.haveKey = make([]bool, n)
 	}
 }
 
-// baseBits returns the bits-wide window of h at bit position bitpos,
-// remixing with the position as salt once the 64 hash bits are exhausted
-// (mirroring levelBits in the recursion above).
-func baseBits(h uint64, bitpos, bits uint) int {
-	if bitpos+bits <= 64 {
-		return int((h >> bitpos) & (1<<bits - 1))
-	}
-	return int(hashutil.Seeded(h, uint64(bitpos)) & (1<<bits - 1))
-}
-
-// groupEq stably groups the records of a by key equality. b (same length,
-// non-aliasing) is scratch; ha/hb shadow a/b with the cached user hashes;
-// scr is the leaf grouper's scratch, acquired once per base call so the
-// hundreds of leaves under one bucket share a single arena round-trip.
-// The grouped result lands in b when intoB is true, in a otherwise.
-func (s *sorter[R, K]) groupEq(a []R, ha []uint64, b []R, hb []uint64, bitpos uint, intoB bool, scr *eqScratch[K]) {
+// groupEq stably groups the records of a by key equality; ha holds their
+// cached user hashes and b (same length, non-aliasing) is scratch. One
+// table pass numbers the groups in first-appearance order, a prefix over
+// the group counts places them, and one stable scatter lands the grouped
+// result in b when intoB is true, in a otherwise.
+//
+// On collision-free input each duplicate costs one eq against its group's
+// representative. Under a constant or few-valued hash (the MaxDepth
+// fallback) unequal keys share a probe chain, and a record may run eq
+// against every group before it: O(n·distinct), still correct and stable.
+func (s *sorter[R, K]) groupEq(a []R, ha []uint64, b []R, intoB bool) {
 	n := len(a)
-	// bitpos grows every level; past 64+64 every window has been remixed
-	// once — if the input still has not split, the hashes are (nearly)
-	// constant and further splitting cannot help.
-	if n <= eqTinyCutoff || bitpos > 128 {
-		s.tinyGroupEq(a, ha, b, intoB, scr)
-		return
-	}
-
-	bits := eqSplitWidth(n)
-	nBk := 1 << bits
-	startsBuf := parallel.GetBuf[int](s.sc, nBk+1)
-	// Byte-wide id-plane split: the fill loop classifies every record in
-	// one closure-free pass (baseBits inlines), the engine replays.
-	starts := dist.SerialFilledInto(s.sc, a, b, ha, hb, nBk, nBk,
-		func(ids []uint8, counts []int32) {
-			ids = ids[:len(ha)]
-			for i := range ha {
-				id := uint8(baseBits(ha[i], bitpos, bits))
-				ids[i] = id
-				counts[id]++
-			}
-		}, startsBuf.S)
-
-	// Adversarial guard: if every record shares one window value (constant
-	// or degenerate user hash), splitting made no progress; group the leaf
-	// directly (a is untouched by the scatter).
-	for j := 0; j < nBk; j++ {
-		if starts[j+1]-starts[j] == n {
-			startsBuf.Release()
-			s.tinyGroupEq(a, ha, b, intoB, scr)
-			return
-		}
-	}
-	for j := 0; j < nBk; j++ {
-		lo, hi := starts[j], starts[j+1]
-		if lo < hi {
-			s.groupEq(b[lo:hi], hb[lo:hi], a[lo:hi], ha[lo:hi], bitpos+bits, !intoB, scr)
-		}
-	}
-	startsBuf.Release()
-}
-
-// tinyGroupEq is the leaf grouper: a linear scan over the distinct-key
-// representatives seen so far, comparing full cached hashes first so the
-// (indirect) eq call and its key extractions run only on true duplicates
-// and genuine 64-bit hash collisions. Stable: distinct keys are emitted in
-// first-appearance order, records within a key in input order. The result
-// lands in b when intoB is true, in a otherwise (b is scratch then).
-func (s *sorter[R, K]) tinyGroupEq(a []R, ha []uint64, b []R, intoB bool, scr *eqScratch[K]) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	if s.sink != nil {
-		// The leaf-mix counter: how many of the base case's sub-problems
-		// bottomed out in the linear-scan grouper (vs. being split further).
-		s.sink.AddLocal(obs.CtrLeafTiny, 1)
-	}
+	scr := parallel.GetObj[groupScratch[K]](s.sc)
 	scr.grow(n)
-	nd := int32(0)
-	for i := 0; i < n; i++ {
-		h := ha[i]
+	t := &scr.tbl
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
+	rep, counts, gid := scr.rep[:n], scr.counts[:n], scr.gid[:n]
+	keys, haveKey := scr.keys[:n], scr.haveKey[:n]
+	ng := int32(0)
+	for i, h := range ha[:n] {
 		var k K
 		haveK := false
-		d := int32(0)
-		for ; d < nd; d++ {
-			if scr.repH[d] != h {
-				continue
+		j := t.Home(h)
+		g := slots[j]
+		for g >= 0 {
+			if hashes[j] == h {
+				if !haveK {
+					k = s.key(a[i])
+					haveK = true
+				}
+				if !haveKey[g] {
+					keys[g] = s.key(a[rep[g]])
+					haveKey[g] = true
+				}
+				if s.eq(keys[g], k) {
+					break
+				}
 			}
-			if !haveK {
-				k = s.key(a[i])
-				haveK = true
-			}
-			if !scr.haveKey[d] {
-				scr.keys[d] = s.key(a[scr.repIdx[d]])
-				scr.haveKey[d] = true
-			}
-			if s.eq(scr.keys[d], k) {
-				break
-			}
+			j = (j + 1) & mask
+			g = slots[j]
 		}
-		if d == nd {
-			scr.repH[nd] = h
-			scr.repIdx[nd] = int32(i)
-			scr.haveKey[nd] = false
-			scr.counts[nd] = 0
-			nd++
+		if g < 0 {
+			g = ng
+			ng++
+			t.Claim(j, g, h)
+			rep[g], counts[g], haveKey[g] = int32(i), 0, false
 		}
-		scr.recDist[i] = d
-		scr.counts[d]++
+		gid[i] = g
+		counts[g]++
 	}
 	off := int32(0)
-	for d := int32(0); d < nd; d++ {
-		c := scr.counts[d]
-		scr.counts[d] = off
+	for g, c := range counts[:ng] {
+		counts[g] = off
 		off += c
 	}
-	for i := 0; i < n; i++ {
-		d := scr.recDist[i]
-		b[scr.counts[d]] = a[i]
-		scr.counts[d]++
-	}
+	src, dst := a, b[:n]
 	if !intoB {
-		copy(a, b[:n])
+		copy(dst, src)
+		src, dst = dst, src
 	}
-	clear(scr.keys[:nd])
+	for i, g := range gid {
+		dst[counts[g]] = src[i]
+		counts[g]++
+	}
+	clear(keys[:ng])
+	t.reset()
+	parallel.PutObj(s.sc, scr)
 }
 
 // baseLess is the semisort< base case: a sequential stable merge sort on

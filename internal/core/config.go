@@ -66,7 +66,7 @@ type Config struct {
 
 	// Stats, when non-nil, receives the call's observability counters
 	// (levels planned, records classified/scattered/absorbed, bytes moved,
-	// hash/probe/eq call counts, leaf mix, per-phase wall time — see
+	// hash/probe/eq call counts, leaf counts, per-phase wall time — see
 	// obs.CallStats). The driver leases a padded counter-shard sink from the
 	// runtime arena, hot paths flush chunk-local tallies into it with a few
 	// atomic adds per chunk (never per record), and the shards merge into

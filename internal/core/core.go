@@ -153,7 +153,7 @@ func (s *sorter[R, K]) rec(cur, other []R, hcur, hother []uint64, curIsA, hashed
 		if !hashed && s.less == nil {
 			s.HashAll(cur, hcur) // the semisort= base case consumes the plane
 		}
-		s.base(cur, other, hcur, hother, curIsA, bitDepth)
+		s.base(cur, other, hcur, curIsA, bitDepth)
 		return
 	}
 
@@ -250,13 +250,12 @@ func (s *sorter[R, K]) rec(cur, other []R, hcur, hother []uint64, curIsA, hashed
 }
 
 // base solves one bucket sequentially and leaves the result on the A side.
-// bitDepth tells the semisort= splitter which cached-hash windows the
-// recursion above has already consumed. When the stats plane (or profile
-// labeling) is armed it wraps the body with leaf accounting; the disabled
-// path is one branch.
-func (s *sorter[R, K]) base(cur, other []R, hcur, hother []uint64, curIsA bool, bitDepth int) {
+// bitDepth only labels the leaf for profiling. When the stats plane (or
+// profile labeling) is armed it wraps the body with leaf accounting; the
+// disabled path is one branch.
+func (s *sorter[R, K]) base(cur, other []R, hcur []uint64, curIsA bool, bitDepth int) {
 	if s.sink == nil && !obs.ProfileLabelsOn() {
-		s.baseImpl(cur, other, hcur, hother, curIsA, bitDepth)
+		s.baseImpl(cur, other, hcur, curIsA)
 		return
 	}
 	var t0 time.Time
@@ -265,10 +264,10 @@ func (s *sorter[R, K]) base(cur, other []R, hcur, hother []uint64, curIsA bool, 
 	}
 	if obs.ProfileLabelsOn() {
 		obs.Labeled("", "leaf", obs.LevelLabel(bitDepth), func() {
-			s.baseImpl(cur, other, hcur, hother, curIsA, bitDepth)
+			s.baseImpl(cur, other, hcur, curIsA)
 		})
 	} else {
-		s.baseImpl(cur, other, hcur, hother, curIsA, bitDepth)
+		s.baseImpl(cur, other, hcur, curIsA)
 	}
 	if s.sink != nil {
 		s.sink.Leaf(len(cur), time.Since(t0).Nanoseconds())
@@ -276,7 +275,7 @@ func (s *sorter[R, K]) base(cur, other []R, hcur, hother []uint64, curIsA bool, 
 }
 
 // baseImpl is the uninstrumented base-case body.
-func (s *sorter[R, K]) baseImpl(cur, other []R, hcur, hother []uint64, curIsA bool, bitDepth int) {
+func (s *sorter[R, K]) baseImpl(cur, other []R, hcur []uint64, curIsA bool) {
 	if len(cur) <= 1 {
 		if !curIsA {
 			copy(other, cur)
@@ -291,10 +290,7 @@ func (s *sorter[R, K]) baseImpl(cur, other []R, hcur, hother []uint64, curIsA bo
 		}
 		return
 	}
-	// semisort=: keep splitting by fresh cached-hash windows, landing the
-	// grouped result on the A side (see groupEq). One leaf scratch serves
-	// every leaf under this bucket.
-	scr := parallel.GetObj[eqScratch[K]](s.sc)
-	s.groupEq(cur, hcur, other, hother, uint(bitDepth)*s.bBits, !curIsA, scr)
-	parallel.PutObj(s.sc, scr)
+	// semisort=: one table pass over the cached hashes, landing the grouped
+	// result on the A side (see groupEq).
+	s.groupEq(cur, hcur, other, !curIsA)
 }

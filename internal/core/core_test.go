@@ -148,6 +148,28 @@ func TestConstantHashFallback(t *testing.T) {
 	out2 := append([]rec(nil), in...)
 	SortLess(out2, keyOf, hashConst, lessU64, Config{LightBuckets: 4, BaseCase: 64, MaxDepth: 3, MinSubarray: 16})
 	checkSemisorted(t, in, out2)
+
+	// A few-valued hash puts unequal keys with equal full hashes into one
+	// probe chain of the leaf table: eq must tell them apart, in a single
+	// leaf (n <= BaseCase) and under the MaxDepth fallback of a multi-level
+	// call. About three records per key keep the keys light, so they reach
+	// the leaves instead of the heavy table.
+	hashMod3 := func(k uint64) uint64 { return k % 3 }
+	for _, tc := range []struct {
+		name string
+		n    int
+		cfg  Config
+	}{
+		{"leaf", 3000, Config{BaseCase: 4096}},
+		{"levels", 3000, Config{LightBuckets: 4, BaseCase: 64, MaxDepth: 3, MinSubarray: 16}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := makeRecs(tc.n, 1000, 6)
+			out := append([]rec(nil), in...)
+			SortEq(out, keyOf, hashMod3, eqU64, tc.cfg)
+			checkSemisorted(t, in, out)
+		})
+	}
 }
 
 func TestDeterminism(t *testing.T) {

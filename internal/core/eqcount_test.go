@@ -107,4 +107,19 @@ func TestEqBoundedWithDuplicates(t *testing.T) {
 	if limit := int64(4 * n); got > limit {
 		t.Errorf("eq ran %d times for %d records with duplicates, want <= %d", got, n, limit)
 	}
+
+	// A call that is a single leaf (n <= BaseCase) draws no sample: its
+	// only eq calls are the leaf table's, one per duplicate against its
+	// group's representative.
+	leaf := makeRecs(4096, 1000, 31)
+	distinct := map[uint64]bool{}
+	for _, r := range leaf {
+		distinct[r.key] = true
+	}
+	eqs.Store(0)
+	SortEq(leaf, keyOf, hashMix, eqU64, eqCfg(&eqs))
+	if got, want := eqs.Load(), int64(len(leaf)-len(distinct)); got != want {
+		t.Errorf("leaf-only call: eq ran %d times for %d records over %d keys, want exactly %d",
+			got, len(leaf), len(distinct), want)
+	}
 }

@@ -71,11 +71,11 @@ func (s *sorter[R, K]) inPlaceRec(a []R, hs []uint64, hashed bool, depth, bitDep
 			s.HashAll(a, hs)
 		}
 		if s.sink == nil {
-			s.baseInPlace(a, hs, bitDepth)
+			s.baseInPlace(a, hs)
 			return
 		}
 		t0 := time.Now()
-		s.baseInPlace(a, hs, bitDepth)
+		s.baseInPlace(a, hs)
 		s.sink.Leaf(n, time.Since(t0).Nanoseconds())
 		return
 	}
@@ -209,18 +209,14 @@ func (s *sorter[R, K]) countBuckets(a []R, hs []uint64, ids []uint16, counts []i
 }
 
 // baseInPlace finishes one bucket within the input array. semisort< sorts
-// in place; semisort= groups through pooled scratch buffers of at most
+// in place; semisort= groups through a pooled scratch buffer of at most
 // alpha records, landing the result back in a.
-func (s *sorter[R, K]) baseInPlace(a []R, hs []uint64, bitDepth int) {
+func (s *sorter[R, K]) baseInPlace(a []R, hs []uint64) {
 	if s.less != nil {
 		seqsort.Quick3(a, func(x, y R) bool { return s.less(s.key(x), s.key(y)) })
 		return
 	}
 	buf := parallel.GetBuf[R](s.sc, len(a))
-	hbuf := parallel.GetBuf[uint64](s.sc, len(a))
-	scr := parallel.GetObj[eqScratch[K]](s.sc)
-	s.groupEq(a, hs, buf.S, hbuf.S, uint(bitDepth)*s.bBits, false, scr)
-	parallel.PutObj(s.sc, scr)
-	hbuf.Release()
+	s.groupEq(a, hs, buf.S, false)
 	buf.Release()
 }

@@ -229,9 +229,9 @@ func fillFrom[I uint8 | uint16](bucketOf func(i int) int) func(ids []I, counts [
 // arena (nil selects the shared default): fill(ids, counts) classifies
 // every record of src in one pass, writing ids[i] in [0, nB) and
 // incrementing counts[id] once per record. The id plane is generic over 1-
-// and 2-byte ids; byte-wide ids (nB <= 256, the semisort base case's 256-way
-// hash-window splits) halve id traffic. Recursive callers run it thousands
-// of times per sort, so nothing in it touches the allocator.
+// and 2-byte ids; byte-wide ids (nB <= 256) halve id traffic, which Serial
+// uses for the radix baseline's 256 digit buckets. Nothing in it touches
+// the allocator: its scratch comes from the arena.
 func SerialFilledInto[R any, I uint8 | uint16](sc *parallel.Scratch, src, dst []R, hsrc, hdst []uint64, nB int, hLive int, fill func(ids []I, counts []int32), starts []int) []int {
 	checkMirror(len(src), len(dst), hsrc, hdst)
 	return distributeSerial(sc, src, hsrc, nB, hLive, fill, starts,

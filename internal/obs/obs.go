@@ -43,10 +43,9 @@ const (
 	CtrProbeCalls
 	CtrEqCalls
 
-	// Leaf base-case mix.
+	// Leaf base cases.
 	CtrLeaves      // base-case buckets solved sequentially
 	CtrLeafRecords // records solved in leaves
-	CtrLeafTiny    // tiny-grouper leaves within semisort= base cases
 
 	// Phase wall time, cumulative across recursion nodes (parallel nodes
 	// overlap, so sums can exceed the call's wall time; see DESIGN.md).
@@ -80,7 +79,6 @@ type CallStats struct {
 
 	Leaves      int64 // sequential base-case buckets
 	LeafRecords int64 // records solved in leaves
-	LeafTiny    int64 // tiny-grouper leaves within semisort= base cases
 
 	PlanNS       int64 // sampling + level-shape time, summed across nodes
 	DistributeNS int64 // classify + scatter time, summed across nodes
@@ -93,7 +91,7 @@ func (s *CallStats) counters() [NumCounters]*int64 {
 		&s.Levels, &s.SerialLevels, &s.ParallelLevels, &s.Collapsed, &s.HeavyKeys, &s.AdoptedLevels,
 		&s.Classified, &s.Scattered, &s.Absorbed, &s.BytesMoved,
 		&s.HashCalls, &s.ProbeCalls, &s.EqCalls,
-		&s.Leaves, &s.LeafRecords, &s.LeafTiny,
+		&s.Leaves, &s.LeafRecords,
 		&s.PlanNS, &s.DistributeNS, &s.LeafNS,
 	}
 }

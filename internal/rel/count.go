@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/parallel"
-	"repro/internal/sampling"
 )
 
 // CountDistinct returns the number of distinct keys of a. It is the
@@ -130,21 +129,16 @@ func (s *counter[R, K]) base(cur []R, hcur []uint64) int64 {
 func (s *counter[R, K]) baseImpl(cur []R, hcur []uint64) int64 {
 	n := len(cur)
 	sc := s.d.Scratch()
-	scr := parallel.GetObj[tblScratch](sc)
-	m := sampling.CeilPow2(2 * n)
-	scr.get(m)
-	mask, shift := uint64(m-1), hashutil.SlotShift(m)
-	slots, hashes := scr.slots, scr.hashes
+	t := core.GetLeafTable(sc, n)
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
 	distinct := int64(0)
 	for idx := 0; idx < n; idx++ {
 		h := hcur[idx]
-		i := hashutil.Slot(h, shift)
+		i := t.Home(h)
 		for {
 			si := slots[i]
 			if si < 0 {
-				slots[i] = int32(idx)
-				hashes[i] = h
-				scr.order = append(scr.order, i)
+				t.Claim(i, int32(idx), h)
 				distinct++
 				break
 			}
@@ -154,7 +148,6 @@ func (s *counter[R, K]) baseImpl(cur []R, hcur []uint64) int64 {
 			i = (i + 1) & mask
 		}
 	}
-	scr.reset()
-	parallel.PutObj(sc, scr)
+	t.Release(sc)
 	return distinct
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/hashutil"
 	"repro/internal/parallel"
-	"repro/internal/sampling"
 )
 
 // Dedup returns one record per distinct key of a: the key's first record in
@@ -200,35 +199,6 @@ func (s *deduper[R, K]) rec(cur []R, hcur []uint64, hashed bool, depth, bitDepth
 	return nd
 }
 
-// tblScratch is the pooled base-case scratch shared by dedup and distinct
-// counting: open-addressing slots, the slot's full cached hash (so eq and
-// key extraction run only when two 64-bit hashes agree), and the dirtied
-// slot list for O(used) reset. Slot payloads are op-defined indices.
-type tblScratch struct {
-	slots  []int32
-	hashes []uint64
-	order  []uint64
-}
-
-// get (re)shapes a pooled table for at least m power-of-two slots.
-func (t *tblScratch) get(m int) {
-	if len(t.slots) < m {
-		t.slots = make([]int32, m)
-		for i := range t.slots {
-			t.slots[i] = -1
-		}
-		t.hashes = make([]uint64, m)
-	}
-}
-
-// reset clears the dirtied slots.
-func (t *tblScratch) reset() {
-	for _, i := range t.order {
-		t.slots[i] = -1
-	}
-	t.order = t.order[:0]
-}
-
 // base runs baseImpl under the stats plane's leaf accounting
 // (branch-on-nil when stats are disabled).
 func (s *deduper[R, K]) base(cur []R, hcur []uint64) *node[R] {
@@ -247,11 +217,8 @@ func (s *deduper[R, K]) base(cur []R, hcur []uint64) *node[R] {
 func (s *deduper[R, K]) baseImpl(cur []R, hcur []uint64) *node[R] {
 	n := len(cur)
 	sc := s.d.Scratch()
-	scr := parallel.GetObj[tblScratch](sc)
-	m := sampling.CeilPow2(2 * n)
-	scr.get(m)
-	mask, shift := uint64(m-1), hashutil.SlotShift(m)
-	slots, hashes := scr.slots, scr.hashes
+	t := core.GetLeafTable(sc, n)
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
 	own := parallel.GetBuf[R](sc, n)
 	out := own.S[:0]
 	// Plane-emitting calls record each kept record's cached hash alongside
@@ -264,13 +231,11 @@ func (s *deduper[R, K]) baseImpl(cur []R, hcur []uint64) *node[R] {
 	}
 	for idx := 0; idx < n; idx++ {
 		h := hcur[idx]
-		i := hashutil.Slot(h, shift)
+		i := t.Home(h)
 		for {
 			si := slots[i]
 			if si < 0 {
-				slots[i] = int32(len(out))
-				hashes[i] = h
-				scr.order = append(scr.order, i)
+				t.Claim(i, int32(len(out)), h)
 				out = append(out, cur[idx])
 				if s.emit {
 					hout = append(hout, h)
@@ -283,8 +248,7 @@ func (s *deduper[R, K]) baseImpl(cur []R, hcur []uint64) *node[R] {
 			i = (i + 1) & mask
 		}
 	}
-	scr.reset()
-	parallel.PutObj(sc, scr)
+	t.Release(sc)
 	own.S = out
 	nd := newNode[R](sc)
 	nd.own = own

@@ -3,9 +3,7 @@ package rel
 import (
 	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/hashutil"
 	"repro/internal/parallel"
-	"repro/internal/sampling"
 )
 
 // Grouped fast paths: once a relation is grouped — equal-key records
@@ -156,25 +154,21 @@ func matchGroups[X, Y, K any](sc *parallel.Scratch,
 	x []X, bx []int32, keyX func(X) K, y []Y, by []int32, keyY func(Y) K,
 	hash func(K) uint64, eq func(K, K) bool) *parallel.Buf[[2]int32] {
 	gx, gy := len(bx)-1, len(by)-1
-	scr := parallel.GetObj[tblScratch](sc)
-	m := sampling.CeilPow2(2 * gx)
-	scr.get(m)
-	mask, shift := uint64(m-1), hashutil.SlotShift(m)
+	t := core.GetLeafTable(sc, gx)
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
 	for g := 0; g < gx; g++ {
 		k := keyX(x[bx[g]])
 		h := hash(k)
-		s := hashutil.Slot(h, shift)
+		s := t.Home(h)
 		for {
-			si := scr.slots[s]
+			si := slots[s]
 			if si < 0 {
-				scr.slots[s] = int32(g)
-				scr.hashes[s] = h
-				scr.order = append(scr.order, s)
+				t.Claim(s, int32(g), h)
 				break
 			}
 			// Group keys are distinct within a grouped side, so an occupied
 			// equal-key slot cannot happen; a full-hash collision probes on.
-			if scr.hashes[s] == h && eq(keyX(x[bx[si]]), k) {
+			if hashes[s] == h && eq(keyX(x[bx[si]]), k) {
 				break
 			}
 			s = (s + 1) & mask
@@ -185,13 +179,13 @@ func matchGroups[X, Y, K any](sc *parallel.Scratch,
 	for g := 0; g < gy; g++ {
 		k := keyY(y[by[g]])
 		h := hash(k)
-		s := hashutil.Slot(h, shift)
+		s := t.Home(h)
 		for {
-			si := scr.slots[s]
+			si := slots[s]
 			if si < 0 {
 				break
 			}
-			if scr.hashes[s] == h && eq(keyX(x[bx[si]]), k) {
+			if hashes[s] == h && eq(keyX(x[bx[si]]), k) {
 				ps = append(ps, [2]int32{si, int32(g)})
 				break
 			}
@@ -199,7 +193,6 @@ func matchGroups[X, Y, K any](sc *parallel.Scratch,
 		}
 	}
 	pairs.S = ps
-	scr.reset()
-	parallel.PutObj(sc, scr)
+	t.Release(sc)
 	return pairs
 }

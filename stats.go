@@ -12,7 +12,7 @@ import (
 //
 //   - Per-call stats: WithStats(&s) fills a CallStats with one call's
 //     counters (levels, classify/scatter/absorb volumes, hash/probe/eq call
-//     counts, leaf mix, per-phase wall time). On a pipeline the same option
+//     counts, leaf counts, per-phase wall time). On a pipeline the same option
 //     additionally records per-stage stats, read back via Stats().
 //   - Runtime and stream gauges: Runtime.Metrics() and the Metrics() method
 //     on every stream snapshot scheduler and batcher counters lock-free.

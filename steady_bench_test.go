@@ -46,12 +46,16 @@ func benchSteady(b *testing.B, data []bench.P64, opts ...semisort.Option) {
 func BenchmarkSortEqSteadyState(b *testing.B) {
 	for _, c := range []struct {
 		name string
+		n    int
 		spec dist.Spec
 	}{
-		{"distinct", dist.Spec{Kind: dist.Uniform, Param: 1 << 19}},
-		{"zipf-1.2", dist.Spec{Kind: dist.Zipfian, Param: 1.2}},
+		{"distinct", 1 << 19, dist.Spec{Kind: dist.Uniform, Param: 1 << 19}},
+		{"zipf-1.2", 1 << 19, dist.Spec{Kind: dist.Zipfian, Param: 1.2}},
+		// One stream flush: a batch below the base-case threshold is a
+		// single leaf, with no distribution level above it.
+		{"batch-4096/zipf-1.2", 4096, dist.Spec{Kind: dist.Zipfian, Param: 1.2}},
 	} {
-		data := steadyData(1<<19, c.spec)
+		data := steadyData(c.n, c.spec)
 		b.Run(c.name, func(b *testing.B) { benchSteady(b, data) })
 	}
 	// The acceptance-tracking cell of the perf trajectory: uniform 64-bit
