@@ -135,23 +135,17 @@ func TestRuntimeDoIsConcurrentEvenWithoutPool(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-timeout(t):
+	case <-timeout():
 		t.Fatal("Do deadlocked on synchronizing functions")
 	}
 }
 
-func timeout(t *testing.T) <-chan struct{} {
-	t.Helper()
-	c := make(chan struct{})
-	go func() {
-		defer close(c)
-		// Generous bound; only hit on deadlock.
-		for i := 0; i < 50; i++ {
-			runtime.Gosched()
-		}
-		time.Sleep(2 * time.Second)
-	}()
-	return c
+// timeout is the deadlock checks' generous bound, only hit on deadlock. It
+// is a timer rather than a sleeping goroutine: such a goroutine outlives its
+// test and exits seconds later, inside whichever test is counting
+// goroutines then.
+func timeout() <-chan time.Time {
+	return time.After(2 * time.Second)
 }
 
 func TestRuntimeSingleWorkerIsSerial(t *testing.T) {
@@ -182,8 +176,28 @@ func goroutines() int {
 	return runtime.NumGoroutine()
 }
 
+// settledGoroutines returns the process goroutine count once it has stopped
+// changing: the same reading over several consecutive polls. Goroutines that
+// earlier tests' runtimes and jobs left exiting would otherwise be counted
+// as part of a baseline that then drops under the test. After a few seconds
+// without settling it returns the latest reading.
+func settledGoroutines() int {
+	const polls = 10
+	deadline := time.Now().Add(5 * time.Second)
+	n, same := goroutines(), 0
+	for same < polls && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+		if m := goroutines(); m != n {
+			n, same = m, 0
+		} else {
+			same++
+		}
+	}
+	return n
+}
+
 func TestRuntimeCloseStopsPoolWorkers(t *testing.T) {
-	before := goroutines()
+	before := settledGoroutines()
 	rt := NewRuntime(9)
 	// Run real work so workers have been woken at least once.
 	var total atomic.Int64
@@ -269,7 +283,7 @@ func TestAdmitWaiterOnSwappedChannelUnblocks(t *testing.T) {
 	select {
 	case s := <-admitted:
 		s.Release()
-	case <-timeout(t):
+	case <-timeout():
 		t.Fatal("waiter queued on the swapped-out semaphore was never admitted")
 	}
 }

@@ -615,24 +615,17 @@ func bucketedSpanCounts[R any](a []R, appendKey AppendKey[R], hash HashBytes, cf
 	return c, kvb, pos
 }
 
-func bucketedHistogram[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg core.Config) []collect.KV[string, int64] {
+func bucketedHistogram[R, T any](a []R, appendKey AppendKey[R], hash HashBytes, mk func(string, int64) T, cfg core.Config) []T {
 	c, kvb, nd := bucketedSpanCounts(a, appendKey, hash, cfg)
-	out := make([]collect.KV[string, int64], nd)
-	for i, e := range kvb.S[:nd] {
-		out[i] = collect.KV[string, int64]{Key: string(c.seg(e.Key)), Value: e.Value}
-	}
+	out := Emit(c.seg, kvb.S[:nd], kvAt, mk, cfg)
 	kvb.Release()
 	c.release()
 	return out
 }
 
-func bucketedTopK[R any](a []R, k int, appendKey AppendKey[R], hash HashBytes, cfg core.Config) []collect.KV[string, int64] {
+func bucketedTopK[R, T any](a []R, k int, appendKey AppendKey[R], hash HashBytes, mk func(string, int64) T, cfg core.Config) []T {
 	c, kvb, nd := bucketedSpanCounts(a, appendKey, hash, cfg)
-	kv := rel.SelectTopK(kvb.S[:nd], k, cfg)
-	out := make([]collect.KV[string, int64], len(kv))
-	for i, e := range kv {
-		out[i] = collect.KV[string, int64]{Key: string(c.seg(e.Key)), Value: e.Value}
-	}
+	out := Emit(c.seg, rel.SelectTopK(kvb.S[:nd], k, cfg), kvAt, mk, cfg)
 	kvb.Release()
 	c.release()
 	return out

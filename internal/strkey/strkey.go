@@ -113,9 +113,10 @@ type Plane struct {
 	bbufs  [2]*parallel.Buf[*parallel.Buf[byte]]
 }
 
-// seg returns the key bytes a span denotes; the span alone locates them
-// (relation in bit 63, block, offset, length).
-func (p *Plane) seg(s uint64) []byte {
+// Seg returns the key bytes a span denotes; the span alone locates them
+// (relation in bit 63, block, offset, length). The bytes alias a pooled
+// arena block: valid until Release, never to be retained.
+func (p *Plane) Seg(s uint64) []byte {
 	a := p.arenas[s>>relShift][(s>>blkShift)&(maxBlocks-1)]
 	off := (s >> lenBits) & maxBlkArena
 	return a[off : off+s&MaxKeyLen]
@@ -139,7 +140,7 @@ func (p *Plane) In(rel int) core.Plane[uint64] {
 // arena segment. With Build's digests riding the fused plane this is a cold
 // fallback — the engines never call it on the hot path.
 func (p *Plane) SegHash(hash HashBytes) func(uint64) uint64 {
-	return func(s uint64) uint64 { return hash(p.seg(s)) }
+	return func(s uint64) uint64 { return hash(p.Seg(s)) }
 }
 
 // Eq returns the engine equality closure: compare two spans' contiguous
@@ -154,13 +155,9 @@ func (p *Plane) Eq() func(uint64, uint64) bool {
 		if x == y {
 			return true
 		}
-		return bytes.Equal(p.seg(x), p.seg(y))
+		return bytes.Equal(p.Seg(x), p.Seg(y))
 	}
 }
-
-// KeyString materializes a span's key bytes as a string (one allocation;
-// used only for output keys, once per emitted distinct key).
-func (p *Plane) KeyString(s uint64) string { return string(p.seg(s)) }
 
 // Release returns the plane's pooled state. Every buffer holds only
 // pointer-free payloads or is zeroed first, and ledger-aborted leases
@@ -325,44 +322,38 @@ func CountDistinct[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg cor
 	return total
 }
 
-// Histogram counts each distinct key's records; output keys are
-// materialized from the arena once per distinct key.
-func Histogram[R any](a []R, appendKey AppendKey[R], hash HashBytes, cfg core.Config) []collect.KV[string, int64] {
+// Histogram counts each distinct key's records, emitting out[i] =
+// mk(key, count); Emit materializes the output keys.
+func Histogram[R, T any](a []R, appendKey AppendKey[R], hash HashBytes, mk func(string, int64) T, cfg core.Config) []T {
 	if len(a) == 0 {
-		return nil
+		return []T{}
 	}
 	if useBuckets(len(a)) {
-		return bucketedHistogram(a, appendKey, hash, cfg)
+		return bucketedHistogram(a, appendKey, hash, mk, cfg)
 	}
 	var p Plane
 	Build(&p, 0, a, appendKey, hash, cfg)
 	in := p.In(0)
 	kv := collect.HistogramPlane(p.Recs(0), &in, RecKey, p.SegHash(hash), p.Eq(), cfg)
-	out := make([]collect.KV[string, int64], len(kv))
-	for i, e := range kv {
-		out[i] = collect.KV[string, int64]{Key: p.KeyString(e.Key), Value: e.Value}
-	}
+	out := Emit(p.Seg, kv, kvAt, mk, cfg)
 	p.Release()
 	return out
 }
 
 // TopK returns the k most frequent keys with counts; only the k winners'
-// key bytes are ever materialized as strings.
-func TopK[R any](a []R, k int, appendKey AppendKey[R], hash HashBytes, cfg core.Config) []collect.KV[string, int64] {
+// key bytes are ever materialized.
+func TopK[R, T any](a []R, k int, appendKey AppendKey[R], hash HashBytes, mk func(string, int64) T, cfg core.Config) []T {
 	if len(a) == 0 || k <= 0 {
-		return nil
+		return []T{}
 	}
 	if useBuckets(len(a)) {
-		return bucketedTopK(a, k, appendKey, hash, cfg)
+		return bucketedTopK(a, k, appendKey, hash, mk, cfg)
 	}
 	var p Plane
 	Build(&p, 0, a, appendKey, hash, cfg)
 	in := p.In(0)
 	kv := rel.SelectTopK(collect.HistogramPlane(p.Recs(0), &in, RecKey, p.SegHash(hash), p.Eq(), cfg), k, cfg)
-	out := make([]collect.KV[string, int64], len(kv))
-	for i, e := range kv {
-		out[i] = collect.KV[string, int64]{Key: p.KeyString(e.Key), Value: e.Value}
-	}
+	out := Emit(p.Seg, kv, kvAt, mk, cfg)
 	p.Release()
 	return out
 }

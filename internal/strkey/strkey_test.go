@@ -3,11 +3,14 @@ package strkey
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/israce"
+	"repro/internal/parallel"
 )
 
 // Deep engine properties of the arena key plane that need internal knobs —
@@ -21,6 +24,10 @@ type srec struct {
 }
 
 func srecKey(dst []byte, r srec) []byte { return append(dst, r.K...) }
+
+func kvOf(k string, c int64) collect.KV[string, int64] {
+	return collect.KV[string, int64]{Key: k, Value: c}
+}
 
 // corpus builds n records over a key population mixing empty, short, and
 // long shared-prefix keys.
@@ -110,7 +117,7 @@ func checkOps(t *testing.T, a []srec, hash HashBytes) {
 		}
 	}
 
-	hist := Histogram(a, srecKey, hash, core.Config{})
+	hist := Histogram(a, srecKey, hash, kvOf, core.Config{})
 	if len(hist) != len(counts) {
 		t.Fatalf("Histogram: %d keys, want %d", len(hist), len(counts))
 	}
@@ -120,7 +127,7 @@ func checkOps(t *testing.T, a []srec, hash HashBytes) {
 		}
 	}
 
-	top := TopK(a, 3, srecKey, hash, core.Config{})
+	top := TopK(a, 3, srecKey, hash, kvOf, core.Config{})
 	for _, kv := range top {
 		if counts[kv.Key] != kv.Value {
 			t.Fatalf("TopK: %q count %d, want %d", kv.Key, kv.Value, counts[kv.Key])
@@ -166,13 +173,83 @@ func TestBucketedEqCountContract(t *testing.T) {
 			s := append([]srec(nil), a...)
 			bucketedSortEq(s, srecKey, Bytes, cfg)
 		}},
-		{"Histogram", func(cfg core.Config) { bucketedHistogram(a, srecKey, Bytes, cfg) }},
+		{"Histogram", func(cfg core.Config) { bucketedHistogram(a, srecKey, Bytes, kvOf, cfg) }},
 	} {
 		var ec atomic.Int64
 		op.run(core.Config{}.WithEqCounter(&ec))
 		if got := ec.Load(); got != int64(n)-nd {
 			t.Errorf("%s: %d full comparisons, want n-distinct = %d", op.name, got, int64(n)-nd)
 		}
+	}
+}
+
+// ownCorpus builds 2d records over exactly d distinct keys: an empty key,
+// 1-byte keys, keys of a few KB and medium keys, with skewed counts. Two
+// tags give keys of the same lengths and different bytes.
+func ownCorpus(rng *rand.Rand, d int, tag byte) []srec {
+	key := func(i int) string {
+		switch {
+		case i == 1:
+			return ""
+		case i%1000 == 0:
+			unit := fmt.Sprintf("%c%d|", tag, i)
+			return strings.Repeat(unit, 3000/len(unit))
+		case i < 40:
+			return string([]byte{tag ^ byte(i)})
+		default:
+			return fmt.Sprintf("%c%d/%s", tag, i, strings.Repeat("y", i%29))
+		}
+	}
+	a := make([]srec, 0, 2*d)
+	for i := 0; i < d; i++ {
+		a = append(a, srec{K: key(i)})
+	}
+	for len(a) < 2*d {
+		a = append(a, srec{K: key(rng.Intn(1 + rng.Intn(d)))})
+	}
+	rng.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+	return a
+}
+
+// TestBucketedResultsOwnTheirBytes is the bucketed plane's twin of the root
+// package's TestStrKeyedResultsOwnTheirBytes: histogram and top-k results
+// are kept while later calls on other keys rewrite the pooled carved plane,
+// and only then checked against a map reference. Distinct counts straddle
+// KeyBlock.
+func TestBucketedResultsOwnTheirBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, workers := range []int{1, 2} {
+		rt := parallel.NewRuntime(workers)
+		cfg := core.Config{Runtime: rt}
+		for _, d := range []int{1, KeyBlock - 1, KeyBlock, KeyBlock + 1, 3*KeyBlock + 5} {
+			a := ownCorpus(rng, d, 'a')
+			counts := make(map[string]int64)
+			for _, r := range a {
+				counts[r.K]++
+			}
+			hist := bucketedHistogram(a, srecKey, Bytes, kvOf, cfg)
+			top := bucketedTopK(a, d, srecKey, Bytes, kvOf, cfg)
+
+			other := ownCorpus(rng, d, 'b')
+			bucketedHistogram(other, srecKey, Bytes, kvOf, cfg)
+			bucketedDedup(other, srecKey, Bytes, cfg)
+			bucketedSortEq(append([]srec(nil), other...), srecKey, Bytes, cfg)
+
+			for name, got := range map[string][]collect.KV[string, int64]{"Histogram": hist, "TopK": top} {
+				if len(got) != len(counts) {
+					t.Fatalf("workers=%d distinct=%d %s: %d keys, want %d", workers, d, name, len(got), len(counts))
+				}
+				seen := make(map[string]bool, len(got))
+				for i, kv := range got {
+					if c, ok := counts[kv.Key]; !ok || c != kv.Value || seen[kv.Key] {
+						t.Fatalf("workers=%d distinct=%d %s: entry %d = (%.40q, %d), want a fresh key with its reference count",
+							workers, d, name, i, kv.Key, kv.Value)
+					}
+					seen[kv.Key] = true
+				}
+			}
+		}
+		rt.Close()
 	}
 }
 
@@ -195,6 +272,8 @@ func TestSteadyAllocsSizeIndependent(t *testing.T) {
 			},
 			"Dedup":         func() { Dedup(a, srecKey, Bytes, core.Config{}) },
 			"CountDistinct": func() { CountDistinct(a, srecKey, Bytes, core.Config{}) },
+			"Histogram":     func() { Histogram(a, srecKey, Bytes, kvOf, core.Config{}) },
+			"TopK":          func() { TopK(a, 10, srecKey, Bytes, kvOf, core.Config{}) },
 		} {
 			for i := 0; i < 3; i++ {
 				run() // warm the pools at this size
@@ -203,6 +282,27 @@ func TestSteadyAllocsSizeIndependent(t *testing.T) {
 				t.Errorf("%s at n=%d: %v allocs/op in steady state, want <= 40", name, n, got)
 			}
 		}
+	}
+}
+
+// TestHistogramAllocsPerBlock pins the key materializer's allocations on the
+// flat plane (below minBucketed): the output keys cost one allocation per
+// KeyBlock keys, not one per key, so a histogram of ~15.5k distinct keys
+// (two blocks) stays within a small constant.
+func TestHistogramAllocsPerBlock(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation bounds are meaningless under -race instrumentation")
+	}
+	a := corpus(30000, 20000, 17)
+	if nd := len(refFirst(a)); nd <= KeyBlock || len(a) >= minBucketed {
+		t.Fatalf("corpus has %d distinct keys in %d records, want > %d keys below %d records", nd, len(a), KeyBlock, minBucketed)
+	}
+	run := func() { Histogram(a, srecKey, Bytes, kvOf, core.Config{}) }
+	for i := 0; i < 3; i++ {
+		run() // warm the pools
+	}
+	if got := testing.AllocsPerRun(5, run); got > 64 {
+		t.Errorf("Histogram: %v allocs/op in steady state, want <= 64", got)
 	}
 }
 

@@ -278,21 +278,30 @@ func TestJoinStreamEquivalence(t *testing.T) {
 
 // TestStreamSentinels: the fault.go re-exports match what the stream
 // delivers — ErrQueueFull from a shedding stream, ErrStreamClosed after
-// Close — via errors.Is.
+// Close — via errors.Is. The queue holds one record: the test waits until
+// the flusher has taken the first record and parked in the blocked hash,
+// queues a second, and the third must shed. (Waiting on a result the parked
+// flusher cannot deliver would hang whenever the flusher took a record
+// before the next Submit.)
 func TestStreamSentinels(t *testing.T) {
 	block := make(chan struct{})
-	blockHash := func(k uint64) uint64 { <-block; return semisort.Hash64(k) }
+	parked := make(chan struct{}, 1)
+	blockHash := func(k uint64) uint64 {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-block
+		return semisort.Hash64(k)
+	}
 	s := semisort.NewDedupStream[ev, uint64](evKey, blockHash, evEq,
 		semisort.WithBatchSize(1), semisort.WithMaxWait(-1),
 		semisort.WithQueueDepth(1), semisort.WithShedding())
-	var shed bool
-	s.Submit(ev{K: 1}) // flusher parks in the blocked hash
-	for i := 0; i < 100 && !shed; i++ {
-		r := <-s.Submit(ev{K: uint64(i)})
-		shed = errors.Is(r.Err, semisort.ErrQueueFull)
-	}
-	if !shed {
-		t.Fatal("shedding stream never delivered ErrQueueFull")
+	s.Submit(ev{K: 1})
+	<-parked
+	s.Submit(ev{K: 2}) // fills the queue
+	if r := <-s.Submit(ev{K: 3}); !errors.Is(r.Err, semisort.ErrQueueFull) {
+		t.Fatalf("Submit to a full shedding stream: %v, want ErrQueueFull", r.Err)
 	}
 	close(block)
 	if err := s.Close(); err != nil {

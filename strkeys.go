@@ -197,9 +197,11 @@ func CountDistinctKeyedE[R any](a []R, appendKey AppendKey[R], opts ...Option) (
 	return strkey.CountDistinct(a, strkey.AppendKey[R](appendKey), strkey.Bytes, cfg), nil
 }
 
-// HistogramStr counts each distinct string key's records. Output keys are
-// materialized from the arena once per distinct key; everything upstream
-// compares spans and digests only.
+// HistogramStr counts each distinct string key's records. Everything
+// upstream compares spans and digests only. The output keys are copied out
+// of the arena once, and each block of 8192 consecutive keys shares one
+// backing string, so a retained key keeps its block alive; strings.Clone
+// detaches a key that outlives the rest.
 func HistogramStr[R any](a []R, key func(R) string, opts ...Option) []KeyCount[string] {
 	out, err := HistogramStrE(a, key, opts...)
 	mustCall(err)
@@ -215,17 +217,13 @@ func HistogramStrE[R any](a []R, key func(R) string, opts ...Option) (out []KeyC
 		return nil, aerr
 	}
 	defer done(&err)
-	kv := strkey.Histogram(a, appendStr(key), strkey.Bytes, cfg)
-	out = make([]KeyCount[string], len(kv))
-	for i, e := range kv {
-		out[i] = KeyCount[string]{Key: e.Key, Count: e.Value}
-	}
-	return out, nil
+	return strkey.Histogram(a, appendStr(key), strkey.Bytes, keyCount, cfg), nil
 }
 
 // TopKStr returns the k most frequent string keys of a with their counts,
 // ordered by descending count (ties broken deterministically). Only the k
-// winning keys are ever materialized as strings.
+// winning keys are copied out of the arena; they share backing strings as
+// HistogramStr's keys do.
 func TopKStr[R any](a []R, k int, key func(R) string, opts ...Option) []KeyCount[string] {
 	out, err := TopKStrE(a, k, key, opts...)
 	mustCall(err)
@@ -241,10 +239,11 @@ func TopKStrE[R any](a []R, k int, key func(R) string, opts ...Option) (out []Ke
 		return nil, aerr
 	}
 	defer done(&err)
-	kv := strkey.TopK(a, k, appendStr(key), strkey.Bytes, cfg)
-	out = make([]KeyCount[string], len(kv))
-	for i, e := range kv {
-		out[i] = KeyCount[string]{Key: e.Key, Count: e.Value}
-	}
-	return out, nil
+	return strkey.TopK(a, k, appendStr(key), strkey.Bytes, keyCount, cfg), nil
+}
+
+// keyCount builds one string-keyed result element; the key materializer
+// (strkey.Emit) writes results straight into the caller's slice with it.
+func keyCount(key string, count int64) KeyCount[string] {
+	return KeyCount[string]{Key: key, Count: count}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	semisort "repro"
+	"repro/internal/strkey"
 )
 
 // The string/[]byte-keyed public API (strkeys.go): every op must agree with
@@ -292,8 +293,8 @@ func TestStrKeyedEdgeShapes(t *testing.T) {
 }
 
 func TestStrKeyedDeterministicAcrossWorkers(t *testing.T) {
-	// Output bytes — including full record order from SortEq and Dedup — must
-	// not depend on the worker count.
+	// Output bytes — including full record order from SortEq and Dedup, and
+	// key order from the histograms — must not depend on the worker count.
 	rng := rand.New(rand.NewSource(14))
 	evs := strCorpus(rng, 80000, 600)
 	dims := strCorpus(rng, 500, 900)
@@ -302,6 +303,8 @@ func TestStrKeyedDeterministicAcrossWorkers(t *testing.T) {
 		sorted  []event
 		deduped []event
 		joined  []int
+		hist    []semisort.KeyCount[string]
+		qhist   []semisort.KeyCount[string]
 		top     []semisort.KeyCount[string]
 	}
 	run := func(workers int) snapshot {
@@ -315,7 +318,9 @@ func TestStrKeyedDeterministicAcrossWorkers(t *testing.T) {
 			deduped: semisort.DedupStr(evs, eventURL, opt),
 			joined: semisort.JoinEqStr(evs, dims, eventURL, eventURL,
 				func(e, d event) int { return e.Seq*1000003 + d.Seq }, opt),
-			top: semisort.TopKStr(evs, 8, eventURL, opt),
+			hist:  semisort.HistogramStr(evs, eventURL, opt),
+			qhist: semisort.QueryStr(evs, eventURL, opt).Histogram(),
+			top:   semisort.TopKStr(evs, 8, eventURL, opt),
 		}
 	}
 	want := run(1)
@@ -324,6 +329,99 @@ func TestStrKeyedDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("string-keyed outputs differ between 1 and %d workers", w)
 		}
+	}
+}
+
+// ownCorpus builds 2d events over exactly d distinct keys: an empty key,
+// 1-byte keys, keys of a few KB and medium keys, with skewed counts. tag
+// picks the key bytes; two tags give keys of the same lengths and different
+// bytes, so a result that aliased a rewritten buffer would read wrong keys.
+func ownCorpus(rng *rand.Rand, d int, tag byte) []event {
+	key := func(i int) string {
+		switch {
+		case i == 1:
+			return ""
+		case i%1000 == 0:
+			unit := fmt.Sprintf("%c%d|", tag, i)
+			return strings.Repeat(unit, 3000/len(unit))
+		case i < 40:
+			return string([]byte{tag ^ byte(i)})
+		default:
+			return fmt.Sprintf("%c%d/%s", tag, i, strings.Repeat("y", i%29))
+		}
+	}
+	evs := make([]event, 0, 2*d)
+	for i := 0; i < d; i++ {
+		evs = append(evs, event{URL: key(i)})
+	}
+	for len(evs) < 2*d {
+		evs = append(evs, event{URL: key(rng.Intn(1 + rng.Intn(d)))})
+	}
+	rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+	for i := range evs {
+		evs[i].Seq = i
+	}
+	return evs
+}
+
+// checkKeyCounts checks a string-keyed result against a map reference: every
+// key appears once with its reference count, and all want keys appear
+// (sorted results must also be ordered by non-increasing count).
+func checkKeyCounts(t *testing.T, name string, got []semisort.KeyCount[string], want map[string]int64, sorted bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, want %d", name, len(got), len(want))
+	}
+	seen := make(map[string]bool, len(got))
+	for i, kc := range got {
+		if c, ok := want[kc.Key]; !ok || c != kc.Count || seen[kc.Key] {
+			t.Fatalf("%s: entry %d = (%.40q, %d), want a fresh key with its reference count", name, i, kc.Key, kc.Count)
+		}
+		seen[kc.Key] = true
+		if sorted && i > 0 && kc.Count > got[i-1].Count {
+			t.Fatalf("%s: counts not non-increasing at %d", name, i)
+		}
+	}
+}
+
+// TestStrKeyedResultsOwnTheirBytes pins that string-keyed results never
+// alias pooled memory: each result is kept while later string calls on
+// other keys rewrite the runtime's pooled arena blocks, and only then
+// checked. Distinct counts straddle the key materializer's block size.
+func TestStrKeyedResultsOwnTheirBytes(t *testing.T) {
+	const b = strkey.KeyBlock
+	rng := rand.New(rand.NewSource(17))
+	for _, workers := range []int{1, 2} {
+		rt := semisort.NewRuntime(workers)
+		opt := semisort.WithRuntime(rt)
+		for _, d := range []int{1, b - 1, b, b + 1, 3*b + 5} {
+			evs := ownCorpus(rng, d, 'a')
+			dims := make([]event, 0, d) // one row per key: join counts = counts
+			counts := make(map[string]int64)
+			for _, e := range evs {
+				if counts[e.URL] == 0 {
+					dims = append(dims, e)
+				}
+				counts[e.URL]++
+			}
+			hist := semisort.HistogramStr(evs, eventURL, opt)
+			top := semisort.TopKStr(evs, d, eventURL, opt)
+			qhist := semisort.QueryStr(evs, eventURL, opt).Histogram()
+			jhist := semisort.QueryStr(evs, eventURL, opt).JoinEq(dims, eventURL).Histogram()
+
+			other := ownCorpus(rng, d, 'b')
+			semisort.HistogramStr(other, eventURL, opt)
+			semisort.DedupStr(other, eventURL, opt)
+			semisort.SortEqStr(append([]event(nil), other...), eventURL, opt)
+			semisort.QueryStr(other, eventURL, opt).JoinEq(other, eventURL).Histogram()
+
+			name := fmt.Sprintf("workers=%d distinct=%d", workers, d)
+			checkKeyCounts(t, name+" HistogramStr", hist, counts, false)
+			checkKeyCounts(t, name+" TopKStr", top, counts, true)
+			checkKeyCounts(t, name+" QueryStr.Histogram", qhist, counts, false)
+			checkKeyCounts(t, name+" QueryStr.JoinEq.Histogram", jhist, counts, false)
+		}
+		rt.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package semisort
 
 import (
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/strkey"
 )
@@ -85,15 +86,17 @@ func gatherRecords[R any](rt *parallel.Runtime, a []R, recs []strkey.Rec) []R {
 	return out
 }
 
-// spanCounts materializes index-keyed counts as string-keyed counts; each
-// emitted key allocates exactly one string.
-func spanCounts(p *strkey.Plane, kv []KeyCount[uint64]) []KeyCount[string] {
-	out := make([]KeyCount[string], len(kv))
-	for i, e := range kv {
-		out[i] = KeyCount[string]{Key: p.KeyString(e.Key), Count: e.Count}
-	}
-	return out
+// spanCounts materializes span-keyed counts as string-keyed counts through
+// the key materializer (strkey.Emit), so the keys share block-sized backing
+// strings as HistogramStr's do. The pipeline's call guard has closed by the
+// time a terminal gets here, so the config carries no context and the copy
+// never raises a cancellation.
+func spanCounts(rt *parallel.Runtime, p *strkey.Plane, kv []KeyCount[uint64]) []KeyCount[string] {
+	return strkey.Emit(p.Seg, kv, spanCount, keyCount, core.Config{Runtime: rt})
 }
+
+// spanCount reads a span-keyed pipeline count.
+func spanCount(e KeyCount[uint64]) (uint64, int64) { return e.Key, e.Count }
 
 // Dedup keeps one record per distinct key (the key's first record in input
 // order); see Pipeline.Dedup.
@@ -186,8 +189,9 @@ func (p *PipelineStr[R]) GroupsE() ([]R, []Group, error) {
 	return out, groups, nil
 }
 
-// Histogram counts each distinct key's records and ends the pipeline; only
-// the emitted keys are materialized as strings.
+// Histogram counts each distinct key's records and ends the pipeline. Only
+// the emitted keys are copied out of the arena, and they share block-sized
+// backing strings as HistogramStr's keys do; strings.Clone detaches one.
 func (p *PipelineStr[R]) Histogram() []KeyCount[string] {
 	out, err := p.HistogramE()
 	mustCall(err)
@@ -201,13 +205,14 @@ func (p *PipelineStr[R]) HistogramE() ([]KeyCount[string], error) {
 		p.st.release()
 		return nil, err
 	}
-	out := spanCounts(&p.st.plane, kv)
+	out := spanCounts(p.p.c.rt(), &p.st.plane, kv)
 	p.st.release()
 	return out, nil
 }
 
 // TopK returns the k most frequent keys with their counts and ends the
-// pipeline; only the k winners' key bytes become strings.
+// pipeline. Only the k winners' keys are copied out of the arena, into
+// shared backing strings as HistogramStr's keys are.
 func (p *PipelineStr[R]) TopK(k int) []KeyCount[string] {
 	out, err := p.TopKE(k)
 	mustCall(err)
@@ -221,7 +226,7 @@ func (p *PipelineStr[R]) TopKE(k int) ([]KeyCount[string], error) {
 		p.st.release()
 		return nil, err
 	}
-	out := spanCounts(&p.st.plane, kv)
+	out := spanCounts(p.p.c.rt(), &p.st.plane, kv)
 	p.st.release()
 	return out, nil
 }
@@ -308,7 +313,8 @@ func (p *JoinedPipelineStr[R]) GroupsE() ([]Joined[R], []Group, error) {
 }
 
 // Histogram counts each join key's rows WITHOUT materializing them; see
-// Pipeline.Histogram.
+// Pipeline.Histogram. The keys share block-sized backing strings as
+// HistogramStr's keys do; strings.Clone detaches one.
 func (p *JoinedPipelineStr[R]) Histogram() []KeyCount[string] {
 	out, err := p.HistogramE()
 	mustCall(err)
@@ -322,13 +328,13 @@ func (p *JoinedPipelineStr[R]) HistogramE() ([]KeyCount[string], error) {
 		p.st.release()
 		return nil, err
 	}
-	out := spanCounts(&p.st.plane, kv)
+	out := spanCounts(p.p.c.rt(), &p.st.plane, kv)
 	p.st.release()
 	return out, nil
 }
 
 // TopK returns the k join keys with the most rows, counted without
-// materializing them.
+// materializing them. The keys share backing strings as HistogramStr's do.
 func (p *JoinedPipelineStr[R]) TopK(k int) []KeyCount[string] {
 	out, err := p.TopKE(k)
 	mustCall(err)
@@ -342,7 +348,7 @@ func (p *JoinedPipelineStr[R]) TopKE(k int) ([]KeyCount[string], error) {
 		p.st.release()
 		return nil, err
 	}
-	out := spanCounts(&p.st.plane, kv)
+	out := spanCounts(p.p.c.rt(), &p.st.plane, kv)
 	p.st.release()
 	return out, nil
 }
