@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -151,10 +152,10 @@ func TestCollectProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 			for i := range recs {
 				recs[i] = crec{key: 7, seq: int32(i)}
 			}
-			var probes atomic.Int64
+			var stats obs.CallStats
 			got := Histogram(recs, func(r crec) uint64 { return r.key }, hashMix, eqU64,
-				core.Config{}.WithProbeCounter(&probes))
-			if p := probes.Load(); p != int64(tc.n) {
+				core.Config{Stats: &stats})
+			if p := stats.ProbeCalls; p != int64(tc.n) {
 				t.Fatalf("heavy table probed %d times for %d records in a one-level reduce, want exactly %d", p, tc.n, tc.n)
 			}
 			if len(got) != 1 || got[0].Value != int64(tc.n) {
@@ -178,10 +179,10 @@ func TestCollectProbeCountMixedHotAndDistinct(t *testing.T) {
 			recs[i] = crec{key: 1000 + uint64(i)*2654435761, seq: int32(i)}
 		}
 	}
-	var probes atomic.Int64
+	var stats obs.CallStats
 	got := Histogram(recs, func(r crec) uint64 { return r.key }, hashMix, eqU64,
-		core.Config{}.WithProbeCounter(&probes))
-	if p := probes.Load(); p != int64(n) {
+		core.Config{Stats: &stats})
+	if p := stats.ProbeCalls; p != int64(n) {
 		t.Fatalf("heavy table probed %d times for %d records, want exactly %d (one probing level)", p, n, n)
 	}
 	want := refSeqs(recs)
@@ -200,10 +201,10 @@ func TestCollectDisableHeavy(t *testing.T) {
 	// heavy table, zero probes — and the result still correct on a heavily
 	// skewed input (every key splits down to base cases).
 	recs := zipfRecs(1<<16+999, 1.2, 11)
-	var probes atomic.Int64
-	cfg := core.Config{DisableHeavy: true}.WithProbeCounter(&probes)
+	var stats obs.CallStats
+	cfg := core.Config{DisableHeavy: true, Stats: &stats}
 	got := Histogram(recs, func(r crec) uint64 { return r.key }, hashMix, eqU64, cfg)
-	if p := probes.Load(); p != 0 {
+	if p := stats.ProbeCalls; p != 0 {
 		t.Fatalf("DisableHeavy reduce still probed a heavy table %d times", p)
 	}
 	want := refSeqs(recs)

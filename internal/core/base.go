@@ -22,13 +22,13 @@ import (
 
 // LeafTable is the open-addressing hash table of every hash-table base
 // case: the sorter's grouper, collect's combine table, dedup's keep-first
-// table, distinct counting and the grouped join's group match. Each slot
-// holds an op-defined int32 payload (-1 when empty) beside the entry's full
-// cached hash, so a probe runs eq (and its key extraction) only when two
-// full 64-bit hashes agree. The probe loops live in the ops; the table owns
-// sizing and reset. Outside the MaxDepth fallback a leaf holds at most
-// alpha records, so its table has at most 2·alpha slots and stays
-// cache-resident.
+// table, distinct counting, the grouped join's group match and the join
+// leaves' chained build. Each slot holds an op-defined int32 payload (-1
+// when empty) beside the entry's full cached hash, so a probe runs eq (and
+// its key extraction) only when two full 64-bit hashes agree. The probe
+// loops live in the ops; the table owns sizing and reset. Outside the
+// MaxDepth fallback a leaf holds at most alpha records, so its table has at
+// most 2·alpha slots and stays cache-resident.
 type LeafTable struct {
 	Slots  []int32
 	Hashes []uint64

@@ -82,12 +82,6 @@ type Config struct {
 	// leak-to-GC backstop, not correctness.
 	Ledger *parallel.Ledger
 
-	// probeCounter, when non-nil, accumulates every heavy-table probe the
-	// sort issues. It exists for the package's own contract tests (which
-	// pin "at most one probe per record per level"); the hot path pays
-	// nothing for it when nil.
-	probeCounter *atomic.Int64
-
 	// eqCounter, when non-nil, counts every full key comparison the call
 	// issues: the driver wraps the user eq closure once at init, so every
 	// digest-gated fallthrough — heavy-table resolve, sampling build, the
@@ -98,21 +92,11 @@ type Config struct {
 	eqCounter *atomic.Int64
 }
 
-// WithProbeCounter returns a copy of c whose heavy-table probes are counted
-// into pc. It is a test hook for the probe-at-most-once-per-record-per-level
-// contract tests (here and in internal/collect); the hot path pays nothing
-// for it when unset.
-func (c Config) WithProbeCounter(pc *atomic.Int64) Config {
-	c.probeCounter = pc
-	return c
-}
-
 // WithEqCounter returns a copy of c whose full key comparisons are counted
 // into ec. Every eq call that survives the 64-bit digest gate — and only
 // those; hash-equality pre-checks are free — increments the counter, so the
 // contract tests can pin "full comparisons <= 1 per record per level on
-// collision-free inputs" the way WithProbeCounter pins probe-at-most-once.
-// The hot path pays nothing for it when unset.
+// collision-free inputs". The hot path pays nothing for it when unset.
 func (c Config) WithEqCounter(ec *atomic.Int64) Config {
 	c.eqCounter = ec
 	return c

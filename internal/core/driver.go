@@ -67,12 +67,6 @@ type Driver[R, K any] struct {
 	seed         uint64
 	disableHeavy bool
 
-	// probeCount, when non-nil, accumulates the number of heavy-table
-	// probes issued by the classify passes (a test hook: the contract tests
-	// pin "at most one probe per record per level"). Flushed once per
-	// classify chunk, so the hot loop never touches the atomic.
-	probeCount *atomic.Int64
-
 	// sink/stats are the call's observability plane (Config.Stats): a
 	// pooled padded counter-shard sink the hot paths flush chunk-local
 	// tallies into, merged into stats once at release (finishStats). Both
@@ -176,7 +170,6 @@ func (d *Driver[R, K]) init(n int, key func(R) K, hash func(K) uint64, eq func(K
 		maxDepth:     cfg.MaxDepth,
 		seed:         cfg.Seed,
 		disableHeavy: cfg.DisableHeavy,
-		probeCount:   cfg.probeCounter,
 		sink:         sink,
 		stats:        cfg.Stats,
 		eqTap:        tap,
@@ -666,9 +659,6 @@ func (d *Driver[R, K]) classify(cur []R, hcur []uint64, ids []uint16, counts []i
 		}
 		ids[j] = uint16(id)
 		counts[id]++
-	}
-	if d.probeCount != nil && probes > 0 {
-		d.probeCount.Add(int64(probes))
 	}
 	if d.sink != nil {
 		d.sink.Classify(int64(hi-lo), int64(freshN), int64(probes))

@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // These tests pin the hash-once contract: the user hash closure runs exactly
@@ -73,13 +75,6 @@ func TestHashClosureOncePerRecordAllVariants(t *testing.T) {
 	})
 }
 
-// probeCfg returns a Config whose heavy-table probes are counted into c.
-func probeCfg(c *atomic.Int64) Config {
-	cfg := Config{}
-	cfg.probeCounter = c
-	return cfg
-}
-
 func TestHeavyProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 	// All records share one key: the top level promotes it, classifies every
 	// record heavy (collapse mode), and finishes in exactly one level — so
@@ -100,9 +95,9 @@ func TestHeavyProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 				in[i] = rec{key: 7, seq: i}
 			}
 			work := append([]rec(nil), in...)
-			var probes atomic.Int64
-			SortEq(work, keyOf, hashMix, eqU64, probeCfg(&probes))
-			if got := probes.Load(); got != int64(tc.n) {
+			var stats obs.CallStats
+			SortEq(work, keyOf, hashMix, eqU64, Config{Stats: &stats})
+			if got := stats.ProbeCalls; got != int64(tc.n) {
 				t.Fatalf("heavy table probed %d times for %d records in a one-level sort, want exactly %d", got, tc.n, tc.n)
 			}
 			checkSemisorted(t, in, work)
@@ -120,9 +115,9 @@ func TestHeavyProbeAtMostOncePerRecordPerLevelInPlace(t *testing.T) {
 		in[i] = rec{key: 9, seq: i}
 	}
 	work := append([]rec(nil), in...)
-	var probes atomic.Int64
-	SortEqInPlace(work, keyOf, hashMix, eqU64, probeCfg(&probes))
-	if got := probes.Load(); got != int64(n) {
+	var stats obs.CallStats
+	SortEqInPlace(work, keyOf, hashMix, eqU64, Config{Stats: &stats})
+	if got := stats.ProbeCalls; got != int64(n) {
 		t.Fatalf("in-place heavy table probed %d times for %d records in a one-level sort, want exactly %d", got, n, n)
 	}
 }
@@ -142,9 +137,9 @@ func TestHeavyProbeCountMixedHotAndDistinct(t *testing.T) {
 		}
 	}
 	work := append([]rec(nil), in...)
-	var probes atomic.Int64
-	SortEq(work, keyOf, hashMix, eqU64, probeCfg(&probes))
-	if got := probes.Load(); got != int64(n) {
+	var stats obs.CallStats
+	SortEq(work, keyOf, hashMix, eqU64, Config{Stats: &stats})
+	if got := stats.ProbeCalls; got != int64(n) {
 		t.Fatalf("heavy table probed %d times for %d records, want exactly %d (one probing level)", got, n, n)
 	}
 	checkSemisorted(t, in, work)

@@ -11,8 +11,7 @@ import (
 // These tests pin the stats-plane contract: the CallStats counters must
 // agree with the engine's own exactly-once guarantees (hash-once per record,
 // probe-at-most-once per record per level, digest-gated eq) and with the
-// pre-existing WithProbeCounter / WithEqCounter test hooks, which count
-// through the same funnels.
+// WithEqCounter test hook, which counts through the same funnel.
 
 func zipfRecs(n int) []rec {
 	keys := dist.Keys64(n, dist.Spec{Kind: dist.Zipfian, Param: 1.2}, 7)
@@ -29,8 +28,8 @@ func TestSortEqStatsContract(t *testing.T) {
 	work := append([]rec(nil), in...)
 
 	var stats obs.CallStats
-	var pc, ec atomic.Int64
-	cfg := Config{Stats: &stats}.WithProbeCounter(&pc).WithEqCounter(&ec)
+	var ec atomic.Int64
+	cfg := Config{Stats: &stats}.WithEqCounter(&ec)
 	SortEq(work, keyOf, hashMix, eqU64, cfg)
 	checkSemisorted(t, in, work)
 
@@ -54,11 +53,12 @@ func TestSortEqStatsContract(t *testing.T) {
 	if stats.HashCalls != int64(n) {
 		t.Fatalf("HashCalls = %d, want exactly %d (hash-once)", stats.HashCalls, n)
 	}
-	// The stats counters and the contract-test hooks share funnels, so they
-	// must agree to the call.
-	if stats.ProbeCalls != pc.Load() {
-		t.Fatalf("ProbeCalls = %d, probe hook counted %d", stats.ProbeCalls, pc.Load())
+	// Classify probes the heavy table at most once per record it classifies.
+	if stats.ProbeCalls > stats.Classified {
+		t.Fatalf("ProbeCalls = %d exceeds the %d records classified", stats.ProbeCalls, stats.Classified)
 	}
+	// The eq counter and the contract-test hook share one funnel, so they
+	// must agree to the call.
 	if stats.EqCalls != ec.Load() {
 		t.Fatalf("EqCalls = %d, eq hook counted %d", stats.EqCalls, ec.Load())
 	}

@@ -1,7 +1,7 @@
 // Package obs is the engine's zero-dependency observability plane: per-call
 // counter sinks (CallStats / Sink), fixed-bucket log2 histograms (LogHist /
 // AtomicLogHist), an expvar + HTTP snapshot registry (Registry), and gated
-// pprof goroutine labels. It follows the Ledger / WithProbeCounter threading
+// pprof goroutine labels. It follows the Ledger threading
 // pattern — an optional pointer rides in core.Config, every hot-path touch
 // is branch-on-nil when disabled, and the enabled path is alloc-free in
 // steady state (the Sink is pooled through the runtime arena by its caller;
@@ -37,8 +37,8 @@ const (
 	CtrBytesMoved // record + carried-hash bytes written by sweeps
 
 	// User-closure call counters (the hash-once / probe-once / eq-gated
-	// contract quantities; ProbeCalls and EqCalls agree with the existing
-	// WithProbeCounter / WithEqCounter test hooks by construction).
+	// contract quantities; EqCalls agrees with the WithEqCounter test hook
+	// by construction).
 	CtrHashCalls
 	CtrProbeCalls
 	CtrEqCalls

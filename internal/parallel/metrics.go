@@ -3,9 +3,9 @@ package parallel
 import "sync/atomic"
 
 // rtMetrics is the runtime's lifetime gauge/counter bank. All fields are
-// atomics updated at coarse boundaries — one add per job, one per
-// participant's whole chunk run, one per admission decision — never inside a
-// chunk body, so the scheduler hot path is untouched. The bank is embedded
+// atomics updated at coarse boundaries — a few adds per job once its
+// barrier passes, one per admission decision — never inside a chunk body,
+// so the scheduler hot path is untouched. The bank is embedded
 // in Runtime by value (no pointer chase) and snapshot by Metrics.
 type rtMetrics struct {
 	jobs        atomic.Int64 // parallel jobs executed (loops that actually forked)

@@ -34,6 +34,34 @@ func TestRuntimeMetricsChunkAccounting(t *testing.T) {
 	}
 }
 
+// A panicking chunk aborts its job: the chunks claimed after it are drained,
+// not run, and the ownership split still sums to the chunks that ran.
+func TestRuntimeMetricsChunkAccountingPanic(t *testing.T) {
+	rt := NewRuntime(4)
+	defer rt.Close()
+	before := rt.Metrics()
+	var ran atomic.Int64
+	n, grain := 1<<20, 1<<14
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the chunk panic was not re-raised")
+			}
+		}()
+		rt.ForRange(n, grain, func(lo, hi int) {
+			ran.Add(1)
+			if lo == 5*grain {
+				panic("chunk fault")
+			}
+		})
+	}()
+	m := rt.Metrics()
+	got := (m.ChunksByOwner + m.ChunksStolen) - (before.ChunksByOwner + before.ChunksStolen)
+	if got != ran.Load() {
+		t.Fatalf("owner+stolen chunks = %d, want the %d chunks that ran", got, ran.Load())
+	}
+}
+
 func TestRuntimeMetricsAdmission(t *testing.T) {
 	rt := NewRuntime(2)
 	defer rt.Close()

@@ -54,14 +54,15 @@ type Runtime struct {
 
 // job is one parallel loop in flight.
 type job struct {
-	next   atomic.Int64 // next chunk to claim
-	slots  atomic.Int64 // dense participant-slot allocator (ForRangeW)
-	chunks int64
-	hi     int
-	grain  int
-	body   func(lo, hi int)
-	bodyW  func(w, lo, hi int)
-	wg     sync.WaitGroup // one count per chunk
+	next    atomic.Int64 // next chunk to claim
+	drained atomic.Int64 // chunks claimed by drain, never run
+	slots   atomic.Int64 // dense participant-slot allocator (ForRangeW)
+	chunks  int64
+	hi      int
+	grain   int
+	body    func(lo, hi int)
+	bodyW   func(w, lo, hi int)
+	wg      sync.WaitGroup // one count per chunk
 	// abort flips when any chunk panics: participants check it at every
 	// steal boundary and drain the remaining chunks without running them,
 	// so siblings of a dead chunk stop within one chunk's worth of work.
@@ -181,9 +182,7 @@ func (rt *Runtime) worker() {
 		if j == nil {
 			return
 		}
-		if ran := j.help(); ran > 0 {
-			rt.m.chunksStole.Add(ran)
-		}
+		j.help()
 	}
 }
 
@@ -191,9 +190,7 @@ func (rt *Runtime) worker() {
 // participant ran (drained chunks of an aborting job are not "run"). The
 // first claimed chunk lazily assigns this participant a dense slot id for
 // bodyW. Once the job is aborting (a sibling chunk panicked) the
-// participant stops running bodies and drains instead. The count flushes to
-// the runtime's chunk-ownership metrics once per participation, so the
-// steal loop itself touches no shared counter.
+// participant stops running bodies and drains instead.
 func (j *job) help() int64 {
 	slot, ran := int64(-1), int64(0)
 	for {
@@ -247,6 +244,7 @@ func (j *job) drain() {
 		if c >= j.chunks {
 			return
 		}
+		j.drained.Add(1)
 		j.wg.Done()
 	}
 }
@@ -284,10 +282,19 @@ func (rt *Runtime) run(j *job) {
 	rt.m.jobs.Add(1)
 	j.wg.Add(int(j.chunks))
 	rt.announce(j, min(int(j.chunks)-1, rt.pool))
-	if ran := j.help(); ran > 0 {
-		rt.m.chunksOwner.Add(ran)
-	}
+	owned := j.help()
 	j.wg.Wait()
+	// Every chunk is now run or drained, and the pool workers ran the ones
+	// neither the caller ran nor a participant drained. Both counts are
+	// added here, after the barrier, so they are complete before run
+	// returns: a worker's last chunk's Done can release Wait before that
+	// worker could add its own count.
+	if owned > 0 {
+		rt.m.chunksOwner.Add(owned)
+	}
+	if stolen := j.chunks - owned - j.drained.Load(); stolen > 0 {
+		rt.m.chunksStole.Add(stolen)
+	}
 	if pe := j.pan.Load(); pe != nil {
 		panic(pe)
 	}

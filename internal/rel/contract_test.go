@@ -4,7 +4,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -12,7 +14,7 @@ import (
 // distribution driver: the user hash closure runs exactly once per record
 // per call (for joins: per record of either relation), and the heavy table
 // is probed at most once per record per level — via the same counting
-// closures and counting-probe hook the sorter's and collect's contract
+// closures and CallStats probe counts the sorter's and collect's contract
 // tests use.
 
 func countingHash(calls *atomic.Int64) func(uint64) uint64 {
@@ -61,6 +63,7 @@ func TestJoinHashOncePerRecordBothSides(t *testing.T) {
 		{"Join", func(h func(uint64) uint64) { Join(as, bs, recKey, recKey, h, eqU64, pair, core.Config{}) }},
 		{"SemiJoin", func(h func(uint64) uint64) { SemiJoin(as, bs, recKey, recKey, h, eqU64, core.Config{}) }},
 		{"AntiJoin", func(h func(uint64) uint64) { AntiJoin(as, bs, recKey, recKey, h, eqU64, core.Config{}) }},
+		{"JoinCount", func(h func(uint64) uint64) { JoinCount(as, nil, bs, nil, recKey, recKey, h, eqU64, core.Config{}) }},
 	} {
 		var calls atomic.Int64
 		op.run(countingHash(&calls))
@@ -87,19 +90,19 @@ func TestProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 			for i := range recs {
 				recs[i] = rec{key: 7, seq: int32(i)}
 			}
-			var probes atomic.Int64
-			cfg := core.Config{}.WithProbeCounter(&probes)
+			var stats obs.CallStats
+			cfg := core.Config{Stats: &stats}
 			if got := Dedup(recs, recKey, hashMix, eqU64, cfg); len(got) != 1 || got[0].seq != 0 {
 				t.Fatalf("dedup of one key: got %v", got)
 			}
-			if p := probes.Load(); p != int64(tc.n) {
+			if p := stats.ProbeCalls; p != int64(tc.n) {
 				t.Errorf("Dedup probed %d times for %d records in a one-level call, want exactly %d", p, tc.n, tc.n)
 			}
-			probes.Store(0)
+			stats = obs.CallStats{}
 			if got := CountDistinct(recs, recKey, hashMix, eqU64, cfg); got != 1 {
 				t.Fatalf("count of one key: got %d", got)
 			}
-			if p := probes.Load(); p != int64(tc.n) {
+			if p := stats.ProbeCalls; p != int64(tc.n) {
 				t.Errorf("CountDistinct probed %d times, want exactly %d", p, tc.n)
 			}
 		})
@@ -120,13 +123,12 @@ func TestJoinProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 	for i := range bs {
 		bs[i] = rec{key: 3, seq: int32(i)}
 	}
-	var probes atomic.Int64
-	cfg := core.Config{}.WithProbeCounter(&probes)
-	got := SemiJoin(as, bs, recKey, recKey, hashMix, eqU64, cfg)
+	var stats obs.CallStats
+	got := SemiJoin(as, bs, recKey, recKey, hashMix, eqU64, core.Config{Stats: &stats})
 	if len(got) != na {
 		t.Fatalf("semi of one shared key: got %d rows, want %d", len(got), na)
 	}
-	if p := probes.Load(); p != int64(na+nb) {
+	if p := stats.ProbeCalls; p != int64(na+nb) {
 		t.Errorf("SemiJoin probed %d times for %d records in a one-level call, want exactly %d", p, na+nb, na+nb)
 	}
 }
@@ -143,6 +145,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		topk  []int64
 		join  [][2]int32
 		anti  []rec
+		count []collect.KV[uint64, int64]
 	}
 	var want *outputs
 	for _, p := range []int{1, 3, 7} {
@@ -153,6 +156,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 			dedup: Dedup(as, recKey, hashMix, eqU64, cfg),
 			join:  Join(as, bs, recKey, recKey, hashMix, eqU64, pair, cfg),
 			anti:  AntiJoin(as, bs, recKey, recKey, hashMix, eqU64, cfg),
+			count: JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg),
 		}
 		for _, kv := range TopK(as, 20, recKey, hashMix, eqU64, cfg) {
 			got.topk = append(got.topk, int64(kv.Key), kv.Value)
@@ -170,6 +174,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		check("topk", slicesEqual(got.topk, want.topk))
 		check("join", slicesEqual(got.join, want.join))
 		check("anti", slicesEqual(got.anti, want.anti))
+		check("count", slicesEqual(got.count, want.count))
 	}
 }
 

@@ -52,13 +52,7 @@ func DedupPlane[R, K any](a []R, in *core.Plane[K], emit bool,
 	// and an input plane IS that mirror, so the arena lease is skipped too.
 	hcur, hashed := planeIn(in, d, sc, n)
 	root := s.rec(a, hcur.S, hashed, 0, 0, hashutil.NewRNG(d.Seed()))
-	var out []R
-	var hout *parallel.Buf[uint64]
-	if emit {
-		out, hout = packPlane(d.Runtime(), sc, root)
-	} else {
-		out = pack(d.Runtime(), sc, root)
-	}
+	out, hout := pack(d.Runtime(), sc, root, emit)
 	hcur.Release()
 
 	*s = deduper[R, K]{} // drop the user closures before pooling

@@ -3,6 +3,7 @@ package rel
 import (
 	"time"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/parallel"
@@ -16,6 +17,7 @@ const (
 	joinInner joinKind = iota // every matching (a, b) pair, via the join function
 	joinSemi                  // a-records with at least one match in b
 	joinAnti                  // a-records with no match in b
+	joinCount                 // one (key, count_a * count_b) per key present on both sides
 )
 
 // Join computes the hash-partitioned inner equi-join of a and b: one
@@ -36,7 +38,7 @@ const (
 // b-order per key — then bucket pairs by bucket id).
 func Join[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, joinF func(R, S) T, cfg core.Config) []T {
-	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, joinInner, cfg, nil, nil, nil)
+	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, nil, joinInner, cfg, nil, nil, nil)
 }
 
 // JoinPlane is the inner equi-join fused into a pipeline. inA/inB, when
@@ -50,7 +52,7 @@ func Join[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 func JoinPlane[R, S, K, T any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
 	joinF func(R, S) T, out *core.Plane[K], cfg core.Config) []T {
-	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, joinInner, cfg, inA, inB, out)
+	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, nil, joinInner, cfg, inA, inB, out)
 }
 
 // SemiJoin returns the records of a whose key appears in b — each a-record
@@ -59,7 +61,7 @@ func JoinPlane[R, S, K, T any](a []R, inA *core.Plane[K], b []S, inB *core.Plane
 // partitioning scheme.
 func SemiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []R {
-	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], joinSemi, cfg, nil, nil, nil)
+	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinSemi, cfg, nil, nil, nil)
 }
 
 // SemiJoinPlane is SemiJoin fused into a pipeline: inA/inB, when non-nil,
@@ -67,7 +69,7 @@ func SemiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 // semi-join emits a-records, not rows, so there is no output plane.
 func SemiJoinPlane[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []R {
-	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], joinSemi, cfg, inA, inB, nil)
+	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinSemi, cfg, inA, inB, nil)
 }
 
 // AntiJoin returns the records of a whose key does NOT appear in b. Order is
@@ -75,18 +77,47 @@ func SemiJoinPlane[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plan
 // partitioning scheme.
 func AntiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []R {
-	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], joinAnti, cfg, nil, nil, nil)
+	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinAnti, cfg, nil, nil, nil)
+}
+
+// JoinCount computes the per-key row counts of the inner equi-join of a and
+// b without materializing a single joined row: one KV per key present in
+// both relations, with Value = count_a(key) * count_b(key). It is the
+// histogram of Join(a, b) keyed by the join key, and the reason a fused
+// join -> histogram/top-k/count-distinct pipeline beats the unfused chain
+// structurally — a zipfian join can emit orders of magnitude more rows than
+// either input holds, and this op never writes one. inA/inB supply cached
+// hash planes exactly as in JoinPlane.
+//
+// It is the equi-join's recursion with every record-logging stage demoted
+// to counting: heavy records tick the per-(subarray, key) count matrix
+// during the classify sweep and are never logged, resolved, or crossed;
+// leaves chain the smaller side (ties to a), count the other side's hits
+// per key and multiply.
+//
+// The user hash runs exactly once per record of either relation — or zero
+// times for a side whose input plane carries cached hashes. Output order is
+// deterministic for a fixed seed but unspecified (each level's heavy keys
+// first, then bucket pairs by bucket id; within a leaf, the build side's
+// first-occurrence order). Neither input is modified.
+func JoinCount[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
+	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
+	cfg core.Config) []collect.KV[K, int64] {
+	return runJoin[R, S, K, collect.KV[K, int64]](a, b, keyA, keyB, hash, eq, nil, nil, countKV[K], joinCount, cfg, inA, inB, nil)
 }
 
 func identity[R any](r R) R { return r }
 
-// runJoin is the shared body. fromA converts an a-record into an output row
-// for the kinds that emit a-records (semi, anti: T is R and fromA is the
-// identity); joinF is the inner join's row constructor. inA/inB/plOut are
-// the pipeline-fusion hooks (see JoinPlane); nil for the plain entry points.
+func countKV[K any](k K, n int64) collect.KV[K, int64] { return collect.KV[K, int64]{Key: k, Value: n} }
+
+// runJoin is the shared body. Each kind builds its rows with one
+// constructor: joinF for the inner join's pairs, fromA for the kinds that
+// emit a-records (semi, anti: T is R and fromA is the identity), countF for
+// the counting join's (key, row count) pairs. inA/inB/plOut are the
+// pipeline-fusion hooks (see JoinPlane); nil for the plain entry points.
 func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool,
-	joinF func(R, S) T, fromA func(R) T, kind joinKind, cfg core.Config,
+	joinF func(R, S) T, fromA func(R) T, countF func(K, int64) T, kind joinKind, cfg core.Config,
 	inA, inB, plOut *core.Plane[K]) []T {
 	na, nb := len(a), len(b)
 	if na == 0 || (nb == 0 && kind != joinAnti) {
@@ -107,7 +138,7 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	sc := dA.Scratch()
 	j := parallel.GetObj[joiner[R, S, K, T]](sc)
 	j.keyA, j.keyB, j.eq = keyA, keyB, dA.Eq()
-	j.joinF, j.fromA, j.kind = joinF, fromA, kind
+	j.joinF, j.fromA, j.countF, j.kind = joinF, fromA, countF, kind
 	j.dA, j.dB = dA, dB
 	j.emit = plOut != nil
 	j.carryKeys, j.carryHashes = nil, nil
@@ -129,10 +160,8 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 		hbB = borrowedBuf[uint64]{S: buf.S, owned: buf}
 	}
 	root := j.rec(a, hbA.S, b, hbB.S, hashedA, hashedB, 0, 0, hashutil.NewRNG(dA.Seed()))
-	var out []T
+	out, hout := pack(dA.Runtime(), sc, root, j.emit)
 	if j.emit {
-		var hout *parallel.Buf[uint64]
-		out, hout = packPlane(dA.Runtime(), sc, root)
 		*plOut = core.Plane[K]{
 			HeavyKeys:   j.carryKeys,
 			HeavyHashes: j.carryHashes,
@@ -140,8 +169,6 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 		if hout != nil {
 			plOut.Hashes, plOut.HBuf = hout.S, hout
 		}
-	} else {
-		out = pack(dA.Runtime(), sc, root)
 	}
 	hbB.Release()
 	hbA.Release()
@@ -159,14 +186,15 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 // hashes, and the top level's heavy keys are carried out for downstream
 // adoption (carryKeys/carryHashes, captured before the table is pooled).
 type joiner[R, S, K, T any] struct {
-	keyA  func(R) K
-	keyB  func(S) K
-	eq    func(K, K) bool
-	joinF func(R, S) T
-	fromA func(R) T
-	kind  joinKind
-	dA    *core.Driver[R, K]
-	dB    *core.Driver[S, K]
+	keyA   func(R) K
+	keyB   func(S) K
+	eq     func(K, K) bool
+	joinF  func(R, S) T
+	fromA  func(R) T
+	countF func(K, int64) T
+	kind   joinKind
+	dA     *core.Driver[R, K]
+	dB     *core.Driver[S, K]
 
 	emit        bool
 	carryKeys   []K
@@ -224,20 +252,15 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	frng := rng
 	nH, nLight := lvA.NH, lvA.NLight
 
-	// Heavy absorption state: the a side always logs record indices (all
-	// three kinds emit from a's heavy records); the b side logs only for the
-	// inner join — semi and anti need just a per-key existence count.
+	// Heavy absorption state. A side logs record indices only where the
+	// heavy step reads its records: a for every kind but the counting join,
+	// b for the inner join alone. The other sides keep per-key counts.
 	var aLog, bLog *sideLog
 	var aSink, bSink func(sub, hid, idx int)
 	if nH > 0 {
-		aLog = getSideLog(sc, lvA.NSub, nH, true)
-		aSink = aLog.sink
+		aLog = getSideLog(sc, lvA.NSub, nH, j.kind != joinCount)
 		bLog = getSideLog(sc, lvB.NSub, nH, j.kind == joinInner)
-		if j.kind == joinInner {
-			bSink = bLog.sink
-		} else {
-			bSink = bLog.countSink
-		}
+		aSink, bSink = aLog.absorbSink(), bLog.absorbSink()
 	}
 
 	// Blocked Distributing, both sides through the absorbing engines:
@@ -297,48 +320,62 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	return nd
 }
 
-// emitHeavy joins the level's heavy keys by broadcast: per key, a's
-// absorbed records in input order against b's, both read in place through
-// the resolved index lists. The output chunk is sized exactly and filled at
-// precomputed per-key offsets, so the fill parallelizes over keys without
-// affecting the row order. Plane-emitting calls also fill the aligned hash
-// chunk: every row of heavy key h shares the table's OrderHash[h], so no
-// record is ever re-hashed. lv is the planned level (heavy table alive).
+// emitHeavy joins the level's heavy keys by broadcast, reading both sides
+// in place through the resolved per-key index lists: per key, the inner
+// join crosses a's absorbed records in input order with b's, semi and anti
+// emit a's records wholesale or not at all (decided by b's count), and the
+// counting join emits the key once with the product of its two side
+// totals. The output chunk is sized exactly and filled at precomputed
+// per-key offsets, so the fill parallelizes over keys without affecting the
+// row order. Plane-emitting calls also fill the aligned hash chunk: every
+// row of heavy key h shares the table's OrderHash[h], so no record is ever
+// re-hashed. lv is the planned level (heavy table alive).
 func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, curA []R, curB []S) (*parallel.Buf[T], *parallel.Buf[uint64]) {
-	serial := lv.Serial
 	sc := j.dA.Scratch()
 	rt := j.dA.Runtime()
 	nH := aLog.nH
-	idxA, stA := aLog.resolve(rt, sc)
-	ia, sa := idxA.S, stA.S
+	ia, sa := aLog.resolve(rt)
+	ib, sb := bLog.resolve(rt)
 	offsBuf := parallel.GetBuf[int](sc, nH+1)
 	offs := offsBuf.S
-	var own *parallel.Buf[T]
+	total := 0
+	for h := 0; h < nH; h++ {
+		offs[h] = total
+		ca, cb := int(sa[h+1]-sa[h]), int(sb[h+1]-sb[h])
+		switch {
+		case j.kind == joinInner:
+			total += ca * cb
+		case j.kind == joinCount:
+			if ca > 0 && cb > 0 {
+				total++
+			}
+		case (cb > 0) == (j.kind == joinSemi):
+			total += ca
+		}
+	}
+	offs[nH] = total
+	own := parallel.GetBuf[T](sc, total)
 	var hown *parallel.Buf[uint64]
 	var hw []uint64
-	if j.kind == joinInner {
-		idxB, stB := bLog.resolve(rt, sc)
-		ib, sb := idxB.S, stB.S
-		total := 0
-		for h := 0; h < nH; h++ {
-			offs[h] = total
-			total += int(sa[h+1]-sa[h]) * int(sb[h+1]-sb[h])
+	if j.emit {
+		hown = parallel.GetBuf[uint64](sc, total)
+		hw = hown.S
+	}
+	out := own.S
+	cancelable := j.dA.Cancelable()
+	emit := func(h int) {
+		o := offs[h]
+		if o == offs[h+1] {
+			return
 		}
-		offs[nH] = total
-		own = parallel.GetBuf[T](sc, total)
 		if j.emit {
-			hown = parallel.GetBuf[uint64](sc, total)
-			hw = hown.S
-		}
-		out := own.S
-		emit := func(h int) {
-			o := offs[h]
-			if hw != nil {
-				hh := lv.HeavyHash(h)
-				for i := o; i < offs[h+1]; i++ {
-					hw[i] = hh
-				}
+			hh := lv.HeavyHash(h)
+			for i := o; i < offs[h+1]; i++ {
+				hw[i] = hh
 			}
+		}
+		switch j.kind {
+		case joinInner:
 			bs := ib[sb[h]:sb[h+1]]
 			// The broadcast cross product is the join's only loop unbounded
 			// in the INPUT size — |a_k| * |b_k| rows for heavy key k can
@@ -346,7 +383,6 @@ func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, c
 			// (every |b_k| rows), the one op-level checkpoint the driver's
 			// per-chunk checks cannot provide. The hoisted flag keeps the
 			// no-context path at one predicted-false branch per a-record.
-			cancelable := j.dA.Cancelable()
 			for _, ra := range ia[sa[h]:sa[h+1]] {
 				if cancelable {
 					j.dA.CheckCancel()
@@ -357,62 +393,23 @@ func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, c
 					o++
 				}
 			}
-		}
-		if serial {
-			for h := 0; h < nH; h++ {
-				emit(h)
-			}
-		} else {
-			rt.For(nH, 1, emit)
-		}
-		stB.Release()
-		idxB.Release()
-	} else {
-		// Semi/anti: a heavy key's a-records are emitted wholesale or not
-		// at all, decided by b's existence count.
-		tot := bLog.totals(sc)
-		total := 0
-		for h := 0; h < nH; h++ {
-			offs[h] = total
-			if (tot.S[h] > 0) == (j.kind == joinSemi) {
-				total += int(sa[h+1] - sa[h])
-			}
-		}
-		offs[nH] = total
-		own = parallel.GetBuf[T](sc, total)
-		if j.emit {
-			hown = parallel.GetBuf[uint64](sc, total)
-			hw = hown.S
-		}
-		out := own.S
-		emit := func(h int) {
-			if (tot.S[h] > 0) != (j.kind == joinSemi) {
-				return
-			}
-			o := offs[h]
-			if hw != nil {
-				hh := lv.HeavyHash(h)
-				for i := o; i < offs[h+1]; i++ {
-					hw[i] = hh
-				}
-			}
+		case joinCount:
+			out[o] = j.countF(lv.HeavyKey(h), int64(sa[h+1]-sa[h])*int64(sb[h+1]-sb[h]))
+		default:
 			for _, ra := range ia[sa[h]:sa[h+1]] {
 				out[o] = j.fromA(curA[ra])
 				o++
 			}
 		}
-		if serial {
-			for h := 0; h < nH; h++ {
-				emit(h)
-			}
-		} else {
-			rt.For(nH, 1, emit)
+	}
+	if lv.Serial {
+		for h := 0; h < nH; h++ {
+			emit(h)
 		}
-		tot.Release()
+	} else {
+		rt.For(nH, 1, emit)
 	}
 	offsBuf.Release()
-	stA.Release()
-	idxA.Release()
 	return own, hown
 }
 
@@ -441,13 +438,16 @@ type logChain struct {
 // per-(subarray, key) count matrix, plus — when the op needs the records
 // themselves — per-subarray append-only logs of (key id, record index)
 // written in input order by the absorb sink onto pooled fixed-stride pages.
-// resolve turns the logs into per-key contiguous index lists (input order
-// across subarrays) without ever moving a record.
+// resolve turns the counts into per-key starts and the logs into per-key
+// contiguous index lists (input order across subarrays) without ever
+// moving a record.
 type sideLog struct {
-	sc   *parallel.Scratch
-	nH   int
-	cnt  *parallel.Buf[int32]
-	logs *parallel.Buf[*logChain] // nil for count-only sides
+	sc     *parallel.Scratch
+	nH     int
+	cnt    *parallel.Buf[int32]
+	logs   *parallel.Buf[*logChain] // nil for count-only sides
+	idx    *parallel.Buf[int32]     // resolve's index lists (index-logging sides)
+	starts *parallel.Buf[int32]     // resolve's per-key starts
 }
 
 // getSideLog takes a level's absorption state from the arena. indices
@@ -464,6 +464,15 @@ func getSideLog(sc *parallel.Scratch, nSub, nH int, indices bool) *sideLog {
 		l.logs.Zero()
 	}
 	return l
+}
+
+// absorbSink is the side's absorb sink: index-logging when the side logs
+// record indices, counting otherwise.
+func (l *sideLog) absorbSink() func(sub, hid, idx int) {
+	if l.logs != nil {
+		return l.sink
+	}
+	return l.countSink
 }
 
 // sink is the index-logging absorb sink: one subarray's entries are
@@ -490,31 +499,37 @@ func (l *sideLog) sink(sub, hid, idx int) {
 	l.cnt.S[sub*l.nH+hid]++
 }
 
-// countSink is the existence-only absorb sink (semi and anti joins' b side).
+// countSink is the counting absorb sink of the sides that log no indices.
 func (l *sideLog) countSink(sub, hid, idx int) {
 	l.cnt.S[sub*l.nH+hid]++
 }
 
-// resolve scatters the logs into per-key contiguous index lists: key h's
-// record indices are idx[starts[h]:starts[h+1]], in input order (subarrays
-// outer, log order inner). The caller releases both buffers. The count
-// matrix is consumed (rewritten into scatter offsets).
-func (l *sideLog) resolve(rt *parallel.Runtime, sc *parallel.Scratch) (idx *parallel.Buf[int32], starts *parallel.Buf[int32]) {
+// resolve prefixes the count matrix into per-key starts — key h has
+// starts[h+1]-starts[h] absorbed records — and, on an index-logging side,
+// scatters the logs into per-key contiguous index lists: key h's record
+// indices are idx[starts[h]:starts[h+1]], in input order (subarrays outer,
+// log order inner). idx is nil on a count-only side. The count matrix is
+// consumed (rewritten into scatter offsets); release frees both results.
+func (l *sideLog) resolve(rt *parallel.Runtime) (idx, starts []int32) {
 	nSub := len(l.cnt.S) / l.nH
 	cnt := l.cnt.S
-	starts = parallel.GetBuf[int32](sc, l.nH+1)
+	l.starts = parallel.GetBuf[int32](l.sc, l.nH+1)
+	starts = l.starts.S
 	run := int32(0)
 	for h := 0; h < l.nH; h++ {
-		starts.S[h] = run
+		starts[h] = run
 		for sub := 0; sub < nSub; sub++ {
 			c := cnt[sub*l.nH+h]
 			cnt[sub*l.nH+h] = run
 			run += c
 		}
 	}
-	starts.S[l.nH] = run
-	idx = parallel.GetBuf[int32](sc, int(run))
-	out := idx.S
+	starts[l.nH] = run
+	if l.logs == nil {
+		return nil, starts
+	}
+	l.idx = parallel.GetBuf[int32](l.sc, int(run))
+	out := l.idx.S
 	rt.For(nSub, 1, func(sub int) {
 		c := l.logs.S[sub]
 		if c == nil {
@@ -529,22 +544,7 @@ func (l *sideLog) resolve(rt *parallel.Runtime, sc *parallel.Scratch) (idx *para
 			}
 		}
 	})
-	return idx, starts
-}
-
-// totals folds the count matrix into per-key totals (the count-only side's
-// terminal form). The caller releases the buffer.
-func (l *sideLog) totals(sc *parallel.Scratch) *parallel.Buf[int32] {
-	nSub := len(l.cnt.S) / l.nH
-	tot := parallel.GetBuf[int32](sc, l.nH)
-	tot.Zero()
-	for sub := 0; sub < nSub; sub++ {
-		row := l.cnt.S[sub*l.nH : (sub+1)*l.nH]
-		for h, c := range row {
-			tot.S[h] += c
-		}
-	}
-	return tot
+	return out, starts
 }
 
 // release returns the level's absorption state to the arena: every page and
@@ -564,6 +564,12 @@ func (l *sideLog) release(sc *parallel.Scratch) {
 			}
 		}
 		l.logs.Release()
+	}
+	if l.idx != nil {
+		l.idx.Release()
+	}
+	if l.starts != nil {
+		l.starts.Release()
 	}
 	l.cnt.Release()
 	*l = sideLog{}
@@ -594,50 +600,6 @@ func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *node[
 	return nd
 }
 
-// joinScratch is the pooled base-case build table: open-addressing slots
-// holding each key's chain head/tail (indices into the build relation), the
-// slot's cached hash, per-build-record chain links in input order, and the
-// dirtied-slot list for O(used) reset.
-type joinScratch struct {
-	head   []int32
-	tail   []int32
-	hashes []uint64
-	next   []int32
-	order  []uint64
-	// mask is the live table's slot mask and shift its slot-index shift
-	// (see slotIndex). The pooled arrays only grow, so a smaller leaf
-	// reusing a bigger leaf's arrays must derive slots from ITS m, not the
-	// array length — build and probe both read these fields.
-	mask  uint64
-	shift uint
-}
-
-// get (re)shapes the table for m power-of-two slots and n build records.
-func (t *joinScratch) get(m, n int) {
-	if len(t.head) < m {
-		t.head = make([]int32, m)
-		for i := range t.head {
-			t.head[i] = -1
-		}
-		t.tail = make([]int32, m)
-		t.hashes = make([]uint64, m)
-	}
-	t.mask = uint64(m - 1)
-	t.shift = hashutil.SlotShift(m)
-	if cap(t.next) < n {
-		t.next = make([]int32, n)
-	}
-	t.next = t.next[:n]
-}
-
-// reset clears the dirtied slots.
-func (t *joinScratch) reset() {
-	for _, i := range t.order {
-		t.head[i] = -1
-	}
-	t.order = t.order[:0]
-}
-
 // base runs baseImpl under the stats plane's leaf accounting (both sides
 // of the pair count as leaf records; branch-on-nil when stats are
 // disabled).
@@ -652,55 +614,44 @@ func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) 
 }
 
 // baseImpl joins one cache-resident bucket pair with a classic hash join
-// consuming the cached hash planes: build a chained table over one side in
-// input order, probe with the other in input order. The inner join builds
-// on the smaller side (ties to b); semi and anti always build on b (their
-// probe side must be a, whose records they emit). When the probe side is
-// large — the min-side cutoff fires long before the pair is cache-resident
-// — probing parallelizes over contiguous blocks, each emitting into its own
-// chunk, packed in block order.
+// consuming the cached hash planes: chain one side per key in input order,
+// probe with the other in input order. The inner join builds on the
+// smaller side (ties to b) and the counting join too (ties to a); semi and
+// anti always build on b (their probe side must be a, whose records they
+// emit). The direction is a pure function of the two lengths, so the row
+// order is deterministic. The counting join tallies each key's probe hits
+// and emits the products in build first-occurrence order; its probe stays
+// serial. The other kinds emit while probing, in parallel blocks when the
+// probe side is large — the min-side cutoff fires long before the pair is
+// cache-resident — each block emitting into its own chunk, packed in block
+// order.
 func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint64) *node[T] {
 	na, nb := len(curA), len(curB)
 	sc := j.dA.Scratch()
-	// probeB: build on a, probe with b — rows come out in (b-probe,
-	// a-chain) order, a different but equally deterministic order, since
-	// the direction is a pure function of the two lengths.
-	probeB := j.kind == joinInner && na < nb
-	var scr *joinScratch
+	// probeB: build on a, probe with b — inner rows come out in (b-probe,
+	// a-chain) order.
+	probeB := (j.kind == joinInner && na < nb) || (j.kind == joinCount && na <= nb)
+	var c *chains
 	nProbe := na
 	if probeB {
-		scr = j.buildA(curA, hA)
+		c = buildChains(sc, curA, hA, j.keyA, j.eq)
 		nProbe = nb
 	} else {
-		scr = j.buildB(curB, hB)
+		c = buildChains(sc, curB, hB, j.keyB, j.eq)
 	}
 	var nd *node[T]
-	if nProbe <= core.SerialCutoff {
+	switch {
+	case j.kind == joinCount:
+		j.probe(c, curA, hA, curB, hB, probeB, 0, nProbe, nil, nil)
+		nd = newNode[T](sc)
+		nd.own = j.countRows(c, curA, curB, probeB)
+	case nProbe <= core.SerialCutoff:
 		// The common leaf: one serial probe into one chunk, closure-free
 		// (a per-leaf closure would dominate steady-state allocations).
-		own := parallel.GetBuf[T](sc, 0)
-		var hown *parallel.Buf[uint64]
-		var hout []uint64
-		if j.emit {
-			hown = parallel.GetBuf[uint64](sc, 0)
-			hout = hown.S[:0]
-		}
-		if probeB {
-			own.S, hout = j.probeWithB(scr, curA, curB, hB, 0, nProbe, own.S[:0], hout)
-		} else {
-			own.S, hout = j.probeWithA(scr, curA, hA, curB, 0, nProbe, own.S[:0], hout)
-		}
-		nd = newNode[T](sc)
-		nd.own = own
-		if j.emit {
-			hown.S = hout
-			nd.hown = hown
-		}
-	} else {
-		// A large probe side (the min-side cutoff fired): parallel blocks,
-		// each emitting into its own chunk child, packed in block order —
-		// the blocks partition is a pure function of n, so the row order is
-		// scheduling-independent.
+		nd = j.probeNode(c, curA, hA, curB, hB, probeB, 0, nProbe)
+	default:
+		// The blocks partition is a pure function of n, so the row order
+		// is scheduling-independent.
 		rt := j.dA.Runtime()
 		nBlocks := min(4*parallel.Workers(), (nProbe+core.SerialCutoff-1)/core.SerialCutoff)
 		nd = newNode[T](sc)
@@ -708,198 +659,207 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 		nd.kids.Zero()
 		kids := nd.kids.S
 		rt.Blocks(nProbe, nBlocks, func(b, lo, hi int) {
-			own := parallel.GetBuf[T](sc, 0)
-			var hown *parallel.Buf[uint64]
-			var hout []uint64
-			if j.emit {
-				hown = parallel.GetBuf[uint64](sc, 0)
-				hout = hown.S[:0]
-			}
-			if probeB {
-				own.S, hout = j.probeWithB(scr, curA, curB, hB, lo, hi, own.S[:0], hout)
-			} else {
-				own.S, hout = j.probeWithA(scr, curA, hA, curB, lo, hi, own.S[:0], hout)
-			}
-			kid := newNode[T](sc)
-			kid.own = own
-			if j.emit {
-				hown.S = hout
-				kid.hown = hown
-			}
-			kids[b] = kid
+			kids[b] = j.probeNode(c, curA, hA, curB, hB, probeB, lo, hi)
 		})
 	}
-	scr.reset()
-	parallel.PutObj(sc, scr)
+	c.release(sc)
 	return nd
 }
 
-// buildB chains the b relation into a pooled table in input order.
-func (j *joiner[R, S, K, T]) buildB(curB []S, hB []uint64) *joinScratch {
-	nb := len(curB)
-	scr := parallel.GetObj[joinScratch](j.dA.Scratch())
-	m := sampling.CeilPow2(2 * nb)
-	scr.get(m, nb)
-	mask, shift := scr.mask, scr.shift
-	for i := 0; i < nb; i++ {
-		h := hB[i]
-		var k K
-		haveK := false
-		s := hashutil.Slot(h, shift)
-		for {
-			hd := scr.head[s]
-			if hd < 0 {
-				scr.head[s] = int32(i)
-				scr.tail[s] = int32(i)
-				scr.hashes[s] = h
-				scr.next[i] = -1
-				scr.order = append(scr.order, s)
-				break
-			}
-			if scr.hashes[s] == h {
-				if !haveK {
-					k = j.keyB(curB[i])
-					haveK = true
-				}
-				if j.eq(j.keyB(curB[hd]), k) {
-					scr.next[scr.tail[s]] = int32(i)
-					scr.tail[s] = int32(i)
-					scr.next[i] = -1
-					break
-				}
-			}
-			s = (s + 1) & mask
-		}
+// probeNode probes records [lo, hi) of the probe side into one fresh
+// chunk (with its aligned hash chunk on plane-emitting calls).
+func (j *joiner[R, S, K, T]) probeNode(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int) *node[T] {
+	sc := j.dA.Scratch()
+	nd := newNode[T](sc)
+	nd.own = parallel.GetBuf[T](sc, 0)
+	var hout []uint64
+	if j.emit {
+		nd.hown = parallel.GetBuf[uint64](sc, 0)
+		hout = nd.hown.S[:0]
 	}
-	return scr
+	nd.own.S, hout = j.probe(c, curA, hA, curB, hB, probeB, lo, hi, nd.own.S[:0], hout)
+	if j.emit {
+		nd.hown.S = hout
+	}
+	return nd
 }
 
-// buildA is buildB over the a relation (inner join, a smaller).
-func (j *joiner[R, S, K, T]) buildA(curA []R, hA []uint64) *joinScratch {
-	na := len(curA)
-	scr := parallel.GetObj[joinScratch](j.dA.Scratch())
-	m := sampling.CeilPow2(2 * na)
-	scr.get(m, na)
-	mask, shift := scr.mask, scr.shift
-	for i := 0; i < na; i++ {
-		h := hA[i]
-		var k K
-		haveK := false
-		s := hashutil.Slot(h, shift)
-		for {
-			hd := scr.head[s]
-			if hd < 0 {
-				scr.head[s] = int32(i)
-				scr.tail[s] = int32(i)
-				scr.hashes[s] = h
-				scr.next[i] = -1
-				scr.order = append(scr.order, s)
-				break
-			}
-			if scr.hashes[s] == h {
-				if !haveK {
-					k = j.keyA(curA[i])
-					haveK = true
-				}
-				if j.eq(j.keyA(curA[hd]), k) {
-					scr.next[scr.tail[s]] = int32(i)
-					scr.tail[s] = int32(i)
-					scr.next[i] = -1
-					break
-				}
-			}
-			s = (s + 1) & mask
-		}
-	}
-	return scr
-}
+// probeBlock is how many probe records one lookup pass resolves: the probe
+// checks for cancellation once per block, amortized between the driver's
+// chunk checks.
+const probeBlock = 1 << 10
 
-// probeWithA probes a-records [lo, hi) against a table built over b,
-// emitting per the join kind in a-input order. hout, when non-nil, receives
-// each emitted row's key hash (the probe record's cached hash) in lockstep.
-func (j *joiner[R, S, K, T]) probeWithA(scr *joinScratch, curA []R, hA []uint64, curB []S, lo, hi int, out []T, hout []uint64) ([]T, []uint64) {
-	mask, shift := scr.mask, scr.shift
+// probe looks up probe-side records [lo, hi) in c, in input order — the
+// b side against a table over a when probeB is set, the a side against a
+// table over b otherwise — and appends what the join kind emits to out; on
+// plane-emitting calls hout receives each row's key hash (the probe
+// record's cached hash) in lockstep. The counting join only tallies each
+// key's hits into c.
+func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int, out []T, hout []uint64) ([]T, []uint64) {
+	var heads [probeBlock]int32
 	cancelable := j.dA.Cancelable()
-	for i := lo; i < hi; i++ {
-		if cancelable && (i-lo)&1023 == 0 {
-			j.dA.CheckCancel() // amortized: leaf probes between driver chunk checks
-		}
-		h := hA[i]
-		var k K
-		haveK := false
-		matched := false
-		s := hashutil.Slot(h, shift)
-		for {
-			hd := scr.head[s]
-			if hd < 0 {
-				break
-			}
-			if scr.hashes[s] == h {
-				if !haveK {
-					k = j.keyA(curA[i])
-					haveK = true
-				}
-				if j.eq(j.keyB(curB[hd]), k) {
-					matched = true
-					if j.kind == joinInner {
-						for bi := hd; bi >= 0; bi = scr.next[bi] {
-							out = append(out, j.joinF(curA[i], curB[bi]))
-							if hout != nil {
-								hout = append(hout, h)
-							}
-						}
-					}
-					break
-				}
-			}
-			s = (s + 1) & mask
-		}
-		if (j.kind == joinSemi && matched) || (j.kind == joinAnti && !matched) {
-			out = append(out, j.fromA(curA[i]))
-			if hout != nil {
-				hout = append(hout, h)
-			}
-		}
-	}
-	return out, hout
-}
-
-// probeWithB probes b-records [lo, hi) against a table built over a (inner
-// join only), emitting pairs in (b-probe, a-chain) order. hout as in
-// probeWithA.
-func (j *joiner[R, S, K, T]) probeWithB(scr *joinScratch, curA []R, curB []S, hB []uint64, lo, hi int, out []T, hout []uint64) ([]T, []uint64) {
-	mask, shift := scr.mask, scr.shift
-	cancelable := j.dA.Cancelable()
-	for i := lo; i < hi; i++ {
-		if cancelable && (i-lo)&1023 == 0 {
+	for blo := lo; blo < hi; blo += probeBlock {
+		if cancelable {
 			j.dA.CheckCancel()
 		}
-		h := hB[i]
+		bhi := min(blo+probeBlock, hi)
+		hd := heads[:bhi-blo]
+		var hp []uint64
+		if probeB {
+			hp = hB[blo:bhi]
+			lookup(c, curA, j.keyA, curB[blo:bhi], hp, j.keyB, j.eq, hd)
+		} else {
+			hp = hA[blo:bhi]
+			lookup(c, curB, j.keyB, curA[blo:bhi], hp, j.keyA, j.eq, hd)
+		}
+		for o, x := range hd {
+			i := blo + o
+			switch {
+			case j.kind == joinCount:
+				if x >= 0 {
+					c.hits[x]++
+				}
+			case j.kind == joinInner:
+				for ; x >= 0; x = c.next[x] {
+					if probeB {
+						out = append(out, j.joinF(curA[x], curB[i]))
+					} else {
+						out = append(out, j.joinF(curA[i], curB[x]))
+					}
+					if j.emit {
+						hout = append(hout, hp[o])
+					}
+				}
+			case (x >= 0) == (j.kind == joinSemi):
+				out = append(out, j.fromA(curA[i]))
+				if j.emit {
+					hout = append(hout, hp[o])
+				}
+			}
+		}
+	}
+	return out, hout
+}
+
+// countRows emits the counting join's leaf rows from a probed build: one
+// (key, build records × probe hits) per key the probe side hit, in build
+// first-occurrence order. probeB reports that c was built over a.
+func (j *joiner[R, S, K, T]) countRows(c *chains, curA []R, curB []S, probeB bool) *parallel.Buf[T] {
+	size, hits := c.size[:c.n], c.hits[:c.n]
+	matched := 0
+	for x, n := range size {
+		if n > 0 && hits[x] > 0 {
+			matched++
+		}
+	}
+	own := parallel.GetBuf[T](j.dA.Scratch(), matched)
+	o := 0
+	for x, n := range size {
+		if n == 0 || hits[x] == 0 {
+			continue
+		}
+		var k K
+		if probeB {
+			k = j.keyA(curA[x])
+		} else {
+			k = j.keyB(curB[x])
+		}
+		own.S[o] = j.countF(k, int64(n)*int64(hits[x]))
+		o++
+	}
+	return own
+}
+
+// chains is a join leaf's build over one side: a core.LeafTable whose slot
+// payload is the key's first build record, and beside it per build record
+// the next record of its key (-1 ends the chain), so each key's records
+// chain in input order. A key's first record x also holds the chain's last
+// record tail[x], the key's record count size[x] and its probe hits
+// hits[x] (the counting join's tally); size is 0 at every other record.
+// Pooled; the arrays only grow.
+type chains struct {
+	t                      *core.LeafTable
+	next, tail, size, hits []int32
+	n                      int
+}
+
+// buildChains chains the records of build per key, consuming its cached
+// hash plane hb. The caller releases the result.
+func buildChains[X, K any](sc *parallel.Scratch, build []X, hb []uint64, key func(X) K, eq func(K, K) bool) *chains {
+	n := len(build)
+	c := parallel.GetObj[chains](sc)
+	c.t = core.GetLeafTable(sc, n)
+	if len(c.next) < n {
+		m := sampling.CeilPow2(n)
+		a := make([]int32, 4*m) // one allocation for the four arrays
+		c.next, c.tail, c.size, c.hits = a[:m], a[m:2*m], a[2*m:3*m], a[3*m:]
+	}
+	c.n = n
+	t := c.t
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
+	next, tail, size := c.next, c.tail, c.size
+	for i, h := range hb[:n] {
 		var k K
 		haveK := false
-		s := hashutil.Slot(h, shift)
-		for {
-			hd := scr.head[s]
-			if hd < 0 {
-				break
-			}
-			if scr.hashes[s] == h {
+		s := t.Home(h)
+		x := slots[s]
+		for x >= 0 {
+			if hashes[s] == h {
 				if !haveK {
-					k = j.keyB(curB[i])
-					haveK = true
+					k, haveK = key(build[i]), true
 				}
-				if j.eq(j.keyA(curA[hd]), k) {
-					for ai := hd; ai >= 0; ai = scr.next[ai] {
-						out = append(out, j.joinF(curA[ai], curB[i]))
-						if hout != nil {
-							hout = append(hout, h)
-						}
-					}
+				if eq(key(build[x]), k) {
 					break
 				}
 			}
 			s = (s + 1) & mask
+			x = slots[s]
 		}
+		next[i] = -1
+		if x < 0 {
+			t.Claim(s, int32(i), h)
+			tail[i], size[i], c.hits[i] = int32(i), 1, 0
+			continue
+		}
+		next[tail[x]] = int32(i)
+		tail[x] = int32(i)
+		size[x]++
+		size[i] = 0
 	}
-	return out, hout
+	return c
+}
+
+// release empties the table and returns both to the arena.
+func (c *chains) release(sc *parallel.Scratch) {
+	c.t.Release(sc)
+	c.t = nil
+	parallel.PutObj(sc, c)
+}
+
+// lookup resolves probe records against c, a build over build: heads[i]
+// is the first build record of probe[i]'s key (hp[i] is its cached hash),
+// or -1 when the build side lacks the key. eq — and the probe key's
+// extraction — run only on a full-hash match, exactly as in the build.
+func lookup[X, Y, K any](c *chains, build []X, keyX func(X) K, probe []Y, hp []uint64, keyY func(Y) K, eq func(K, K) bool, heads []int32) {
+	t := c.t
+	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
+	for i, h := range hp {
+		var k K
+		haveK := false
+		s := t.Home(h)
+		x := slots[s]
+		for x >= 0 {
+			if hashes[s] == h {
+				if !haveK {
+					k, haveK = keyY(probe[i]), true
+				}
+				if eq(keyX(build[x]), k) {
+					break
+				}
+			}
+			s = (s + 1) & mask
+			x = slots[s]
+		}
+		heads[i] = x
+	}
 }

@@ -40,46 +40,12 @@ func newNode[T any](sc *parallel.Scratch) *node[T] {
 // pack flattens the tree into the result slice: one deterministic pre-order
 // walk (a node's own chunk, then its buckets in bucket-id order) assigns
 // offsets, one parallel pass copies the chunks, and the tree goes back to
-// the arena.
-func pack[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *node[T]) []T {
-	if root == nil {
-		return nil
-	}
-	itemsBuf := parallel.GetBuf[packItem[T]](sc, 0)
-	items := itemsBuf.S[:0]
-	total := 0
-	var walk func(nd *node[T])
-	walk = func(nd *node[T]) {
-		if nd == nil {
-			return
-		}
-		if nd.own != nil && len(nd.own.S) > 0 {
-			items = append(items, packItem[T]{src: nd.own.S, off: total})
-			total += len(nd.own.S)
-		}
-		if nd.kids != nil {
-			for _, kid := range nd.kids.S {
-				walk(kid)
-			}
-		}
-	}
-	walk(root)
-	out := make([]T, total)
-	rt.For(len(items), 1, func(i int) {
-		copy(out[items[i].off:], items[i].src)
-	})
-	freeTree(sc, root)
-	itemsBuf.S = items[:0]
-	itemsBuf.Release()
-	return out
-}
-
-// packPlane is pack for plane-emitting ops: every chunk travels with its
-// aligned hash chunk (node.hown), and the walk fills an arena-leased hash
-// plane alongside the result slice — hout.S[i] is out[i]'s user hash. The
+// the arena. Plane-emitting ops set hashes: every chunk then travels with
+// its aligned hash chunk (node.hown), and the pass fills an arena-leased
+// hash plane alongside the result — hout.S[i] is out[i]'s user hash. The
 // caller owns hout (typically handing it to the next pipeline stage inside
 // a core.Plane) and releases it when the pipeline is done.
-func packPlane[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *node[T]) (out []T, hout *parallel.Buf[uint64]) {
+func pack[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *node[T], hashes bool) ([]T, *parallel.Buf[uint64]) {
 	if root == nil {
 		return nil, nil
 	}
@@ -92,7 +58,11 @@ func packPlane[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *node[T])
 			return
 		}
 		if nd.own != nil && len(nd.own.S) > 0 {
-			items = append(items, packItem[T]{src: nd.own.S, hsrc: nd.hown.S, off: total})
+			it := packItem[T]{src: nd.own.S, off: total}
+			if hashes {
+				it.hsrc = nd.hown.S
+			}
+			items = append(items, it)
 			total += len(nd.own.S)
 		}
 		if nd.kids != nil {
@@ -102,12 +72,18 @@ func packPlane[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *node[T])
 		}
 	}
 	walk(root)
-	out = make([]T, total)
-	hout = parallel.GetBuf[uint64](sc, total)
-	hs := hout.S
+	out := make([]T, total)
+	var hout *parallel.Buf[uint64]
+	var hs []uint64
+	if hashes {
+		hout = parallel.GetBuf[uint64](sc, total)
+		hs = hout.S
+	}
 	rt.For(len(items), 1, func(i int) {
 		copy(out[items[i].off:], items[i].src)
-		copy(hs[items[i].off:], items[i].hsrc)
+		if hashes {
+			copy(hs[items[i].off:], items[i].hsrc)
+		}
 	})
 	freeTree(sc, root)
 	itemsBuf.S = items[:0]

@@ -1,6 +1,6 @@
 // Package rel implements database-style bulk relational operators — stable
 // first-occurrence deduplication, hash-partitioned equi-joins (inner, semi,
-// anti), distinct counting and top-k by frequency — as terminal ops on the
+// anti, counting), distinct counting and top-k by frequency — as terminal ops on the
 // semisort distribution driver (core.Driver), the way internal/collect
 // implements histogram and collect-reduce. These are the paper's headline
 // applications of semisort (Section 2.1 motivates deduplication, group-by

@@ -1,9 +1,12 @@
 package rel
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/hashutil"
@@ -143,43 +146,80 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// pairCode packs an inner-join row into one comparable word: a.seq in the
+// high half, b.seq in the low half.
+func pairCode(a, b rec) uint64 { return uint64(a.seq)<<32 | uint64(b.seq) }
+
 // pairRef builds the inner-join reference multiset: every (a-seq, b-seq)
-// pair with equal keys.
-func pairRef(as, bs []rec) map[[2]int32]int {
-	byKey := make(map[uint64][]int32)
+// pair with equal keys, as sorted pair codes.
+func pairRef(as, bs []rec) []uint64 {
+	byKey := make(map[uint64][]rec)
 	for _, b := range bs {
-		byKey[b.key] = append(byKey[b.key], b.seq)
+		byKey[b.key] = append(byKey[b.key], b)
 	}
-	want := make(map[[2]int32]int)
+	var want []uint64
 	for _, a := range as {
-		for _, bseq := range byKey[a.key] {
-			want[[2]int32{a.seq, bseq}]++
+		for _, b := range byKey[a.key] {
+			want = append(want, pairCode(a, b))
 		}
 	}
+	slices.Sort(want)
 	return want
+}
+
+// countRef is JoinCount's reference: one KV per key present on both sides,
+// valued count_a * count_b, sorted by key.
+func countRef(as, bs []rec) []collect.KV[uint64, int64] {
+	na, nb := make(map[uint64]int64), make(map[uint64]int64)
+	for _, a := range as {
+		na[a.key]++
+	}
+	for _, b := range bs {
+		nb[b.key]++
+	}
+	var want []collect.KV[uint64, int64]
+	for k, c := range na {
+		if nb[k] > 0 {
+			want = append(want, collect.KV[uint64, int64]{Key: k, Value: c * nb[k]})
+		}
+	}
+	return sortedByKey(want)
+}
+
+func sortedByKey(kvs []collect.KV[uint64, int64]) []collect.KV[uint64, int64] {
+	kvs = slices.Clone(kvs)
+	slices.SortFunc(kvs, func(x, y collect.KV[uint64, int64]) int { return cmp.Compare(x.Key, y.Key) })
+	return kvs
 }
 
 func checkJoin(t *testing.T, as, bs []rec) {
 	t.Helper()
 	cfg := core.Config{}
-	pair := func(a, b rec) [2]int32 { return [2]int32{a.seq, b.seq} }
-	got := Join(as, bs, recKey, recKey, hashMix, eqU64, pair, cfg)
-	want := pairRef(as, bs)
-	total := 0
-	for _, c := range want {
-		total += c
+	got := Join(as, bs, recKey, recKey, hashMix, eqU64, pairCode, cfg)
+	sorted := slices.Clone(got)
+	slices.Sort(sorted)
+	if want := pairRef(as, bs); !slices.Equal(sorted, want) {
+		t.Fatalf("inner: %d rows differ from the %d reference pairs", len(got), len(want))
 	}
-	if len(got) != total {
-		t.Fatalf("inner: got %d rows, want %d", len(got), total)
+	// The plane-emitting join returns the same rows in the same order, with
+	// every row's key hash in the emitted plane (a.seq is a's index in every
+	// test input).
+	var pl core.Plane[uint64]
+	rows := JoinPlane(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, pairCode, &pl, cfg)
+	if !slices.Equal(rows, got) {
+		t.Fatalf("JoinPlane rows differ from Join's")
 	}
-	gotSet := make(map[[2]int32]int, len(got))
-	for _, p := range got {
-		gotSet[p]++
+	if len(pl.Hashes) != len(rows) {
+		t.Fatalf("JoinPlane emitted %d hashes for %d rows", len(pl.Hashes), len(rows))
 	}
-	for p, c := range want {
-		if gotSet[p] != c {
-			t.Fatalf("inner: pair %v emitted %d times, want %d", p, gotSet[p], c)
+	for i, r := range rows {
+		if want := hashMix(as[r>>32].key); pl.Hashes[i] != want {
+			t.Fatalf("JoinPlane row %d: plane hash %#x, want %#x", i, pl.Hashes[i], want)
 		}
+	}
+	pl.Release()
+	if cnt := JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg); !slices.Equal(sortedByKey(cnt), countRef(as, bs)) {
+		t.Fatalf("JoinCount: %d KVs differ from the reference", len(cnt))
 	}
 
 	inB := make(map[uint64]bool)
@@ -328,6 +368,10 @@ func TestConstantHashTotality(t *testing.T) {
 	}
 	if len(got) != wantSemi {
 		t.Fatalf("semi under constant hash: %d vs %d", len(got), wantSemi)
+	}
+	cnt := JoinCount(recs, nil, bs, nil, recKey, recKey, constHash, eqU64, cfg)
+	if !slices.Equal(sortedByKey(cnt), countRef(recs, bs)) {
+		t.Fatalf("join count under constant hash: %d KVs differ from the reference", len(cnt))
 	}
 }
 
