@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race loc bench-steady bench bench-stats bench-paper
+.PHONY: all check fmt vet build test race examples loc bench-steady bench bench-stats bench-paper
 
 all: check
 
@@ -36,6 +36,14 @@ test:
 ## pipeline, and streaming-state fault paths.
 race:
 	$(GO) test -race ./internal/parallel ./internal/core ./internal/sampling ./internal/dist ./internal/collect ./internal/rel ./internal/strkey ./internal/chaos ./internal/stream ./internal/obs .
+
+## examples: build and run every example. Each one checks its own result
+## and panics on a mismatch, so a wrong answer fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 ## loc: the size numbers every PR reports — non-test and test Go lines
 ## (perfbench/ and dot-directories excluded) and exported funcs/methods in

@@ -1,6 +1,10 @@
 package collect
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -305,4 +309,62 @@ func TestHistogramDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestReduceFloatSumIndependentOfWorkers(t *testing.T) {
+	// A floating-point sum is associative only up to rounding, so its bits
+	// expose the association tree of the heavy partials. That tree must be
+	// a function of the input alone: identical at every GOMAXPROCS and on
+	// runtimes of any size.
+	n := 1 << 18
+	keys := dist.Keys64(n, dist.Spec{Kind: dist.Zipfian, Param: 1.2}, 11)
+	rng := rand.New(rand.NewSource(12))
+	recs := make([]fkv, n)
+	for i, k := range keys {
+		recs[i] = fkv{key: k, v: math.Ldexp(rng.Float64(), rng.Intn(60)-30)}
+	}
+	rd := Reducer[fkv, uint64, float64]{
+		Key:     func(r fkv) uint64 { return r.key },
+		Hash:    hashMix,
+		Eq:      eqU64,
+		Map:     func(r fkv) float64 { return r.v },
+		Combine: func(a, b float64) float64 { return a + b },
+	}
+	var want []KV[uint64, float64]
+	check := func(name string, cfg core.Config) {
+		t.Helper()
+		cfg.Seed = 9
+		got := Reduce(recs, rd, cfg)
+		if want == nil {
+			want = got
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results vs %d", name, len(got), len(want))
+		}
+		diff := 0
+		for i := range want {
+			if got[i].Key != want[i].Key || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+				diff++
+			}
+		}
+		if diff > 0 {
+			t.Errorf("%s: %d of %d per-key sums differ bitwise from the first run", name, diff, len(want))
+		}
+	}
+	prev := runtime.GOMAXPROCS(1)
+	check("GOMAXPROCS=1", core.Config{})
+	runtime.GOMAXPROCS(2)
+	check("GOMAXPROCS=2", core.Config{})
+	runtime.GOMAXPROCS(prev)
+	for _, p := range []int{1, 3, 7} {
+		rt := parallel.NewRuntime(p)
+		check(fmt.Sprintf("runtime of %d workers", p), core.Config{Runtime: rt})
+		rt.Close()
+	}
+}
+
+type fkv struct {
+	key uint64
+	v   float64
 }

@@ -27,7 +27,15 @@ func steadyAllocBound(t *testing.T, name string, keys []uint64, bound float64) {
 	for i := 0; i < 3; i++ {
 		run() // warm the arena
 	}
-	if got := testing.AllocsPerRun(5, run); got > bound {
+	// A GC inside a round empties the sync.Pool-backed arena, and the
+	// refills count as allocations. A round over the bound is therefore
+	// measured again, up to twice, and the minimum is reported: a real
+	// leak allocates in every round and still fails.
+	got := testing.AllocsPerRun(5, run)
+	for i := 0; i < 2 && got > bound; i++ {
+		got = min(got, testing.AllocsPerRun(5, run))
+	}
+	if got > bound {
 		t.Errorf("%s: %v allocs/op in steady state, want <= %v", name, got, bound)
 	}
 }

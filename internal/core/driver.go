@@ -477,21 +477,6 @@ func (lv *Level[K]) HeavyKey(h int) K { return lv.ht.Order[h] }
 // re-hashing. Only valid before ReleaseTable.
 func (lv *Level[K]) HeavyHash(h int) uint64 { return lv.ht.OrderHash[h] }
 
-// HeavyCarry copies the level's heavy keys and hashes out of the pooled
-// table (bucket-id order) so they survive ReleaseTable — the level-0 call
-// site of a plane-emitting op hands them to the next pipeline stage for
-// adoption. Returns nils when the level has no heavy keys.
-func (lv *Level[K]) HeavyCarry() ([]K, []uint64) {
-	if lv.ht == nil || lv.NH == 0 {
-		return nil, nil
-	}
-	keys := make([]K, lv.NH)
-	hs := make([]uint64, lv.NH)
-	copy(keys, lv.ht.Order)
-	copy(hs, lv.ht.OrderHash)
-	return keys, hs
-}
-
 // ReleaseSample returns the fused sampler's skip list to the arena; the
 // terminal op calls it once its distribution has consumed the list.
 func (lv *Level[K]) ReleaseSample() {
@@ -540,17 +525,6 @@ func (d *Driver[R, K]) ForeignLevel(lv *Level[K], n int) Level[K] {
 		flv.NSub = dist.NumSubarrays(n, d.l)
 	}
 	return flv
-}
-
-// AbsorbLevelFirst is AbsorbLevel with the dedup absorb sink: every record
-// that resolves heavy is consumed where it stands, and fk keeps only the
-// first occurrence per (subarray, heavy key) — so duplicates beyond the
-// first are dropped during the one classify sweep, never counted and never
-// scattered. fk must have been sized for lv.NSub subarrays and lv.NH keys.
-func (d *Driver[R, K]) AbsorbLevelFirst(lv *Level[K], cur []R, hcur []uint64,
-	hashed bool, bitDepth int, starts []int,
-	fk dist.FirstKeep, dest func(kept int) ([]R, []uint64)) []int {
-	return d.AbsorbLevel(lv, cur, hcur, hashed, bitDepth, starts, fk.Keep, dest)
 }
 
 // classify is the per-level bucket-id pass, the only place a level ever

@@ -14,8 +14,12 @@ import "repro/internal/parallel"
 //     consumer adopts them as its own level-0 heavy table (Driver.Adopt):
 //     PlanLevel then skips the sampling round entirely, because keys that
 //     were frequent in the producer's input are the only candidates for
-//     being frequent in its output. Meaningless after Dedup (every key is a
-//     singleton), so distinct-output producers leave them nil.
+//     being frequent in its output. Every carried key occurs in the
+//     output: an absorbing consumer emits one result per adopted key (the
+//     key's first record, its count), so a key without records has none to
+//     emit. The join therefore carries only the keys with rows on both
+//     sides. Meaningless after Dedup (every key is a singleton), so
+//     distinct-output producers leave them nil.
 //   - Grouped reports that equal-key records are contiguous, with Bounds
 //     holding the g+1 group boundaries (group i is records
 //     [Bounds[i], Bounds[i+1])). Grouped consumers skip the driver outright:

@@ -141,11 +141,14 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	bs := uniformRecs(1<<16, 42)
 	pair := func(a, b rec) [2]int32 { return [2]int32{a.seq, b.seq} }
 	type outputs struct {
-		dedup []rec
-		topk  []int64
-		join  [][2]int32
-		anti  []rec
-		count []collect.KV[uint64, int64]
+		dedup     []rec
+		plane     []rec
+		planeHash []uint64
+		distinct  int64
+		topk      []int64
+		join      [][2]int32
+		anti      []rec
+		count     []collect.KV[uint64, int64]
 	}
 	var want *outputs
 	for _, p := range []int{1, 3, 7} {
@@ -153,11 +156,16 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		defer rt.Close()
 		cfg := core.Config{Runtime: rt, Seed: 9}
 		got := &outputs{
-			dedup: Dedup(as, recKey, hashMix, eqU64, cfg),
-			join:  Join(as, bs, recKey, recKey, hashMix, eqU64, pair, cfg),
-			anti:  AntiJoin(as, bs, recKey, recKey, hashMix, eqU64, cfg),
-			count: JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg),
+			dedup:    Dedup(as, recKey, hashMix, eqU64, cfg),
+			join:     Join(as, bs, recKey, recKey, hashMix, eqU64, pair, cfg),
+			anti:     AntiJoin(as, bs, recKey, recKey, hashMix, eqU64, cfg),
+			count:    JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg),
+			distinct: CountDistinct(as, recKey, hashMix, eqU64, cfg),
 		}
+		var hout *parallel.Buf[uint64]
+		got.plane, hout = DedupPlane(as, nil, true, recKey, hashMix, eqU64, cfg)
+		got.planeHash = append([]uint64(nil), hout.S...)
+		hout.Release()
 		for _, kv := range TopK(as, 20, recKey, hashMix, eqU64, cfg) {
 			got.topk = append(got.topk, int64(kv.Key), kv.Value)
 		}
@@ -175,6 +183,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		check("join", slicesEqual(got.join, want.join))
 		check("anti", slicesEqual(got.anti, want.anti))
 		check("count", slicesEqual(got.count, want.count))
+		check("CountDistinct", got.distinct == want.distinct)
+		check("DedupPlane rows", slicesEqual(got.plane, want.plane))
+		check("DedupPlane hashes", slicesEqual(got.planeHash, want.planeHash))
 	}
 }
 

@@ -47,8 +47,8 @@ func Join[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 // the call emits the output's plane into it: the result rows' user hashes
 // in an arena-leased buffer (heavy rows read the shared table's OrderHash,
 // leaf rows their probe record's cached hash) plus the level-0 heavy keys
-// for downstream adoption. Carried heavy keys of the inputs are NOT
-// adopted — a join plans its own shared sample over the larger side.
+// that have rows, for downstream adoption. Carried heavy keys of the inputs
+// are NOT adopted — a join plans its own shared sample over the larger side.
 func JoinPlane[R, S, K, T any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
 	joinF func(R, S) T, out *core.Plane[K], cfg core.Config) []T {
@@ -145,22 +145,10 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 
 	// Input planes stand in for the lazily filled top-level hash mirrors:
 	// that side starts hashed and its records are never re-hashed.
-	var hbA, hbB borrowedBuf[uint64]
-	hashedA, hashedB := false, false
-	if inA != nil && inA.Hashes != nil {
-		hbA, hashedA = borrowedBuf[uint64]{S: inA.Hashes}, true
-	} else {
-		buf := parallel.LeaseBuf[uint64](sc, dA.Ledger(), na)
-		hbA = borrowedBuf[uint64]{S: buf.S, owned: buf}
-	}
-	if inB != nil && inB.Hashes != nil {
-		hbB, hashedB = borrowedBuf[uint64]{S: inB.Hashes}, true
-	} else {
-		buf := parallel.LeaseBuf[uint64](sc, dB.Ledger(), nb)
-		hbB = borrowedBuf[uint64]{S: buf.S, owned: buf}
-	}
-	root := j.rec(a, hbA.S, b, hbB.S, hashedA, hashedB, 0, 0, hashutil.NewRNG(dA.Seed()))
-	out, hout := pack(dA.Runtime(), sc, root, j.emit)
+	hA, hbA, hashedA := dA.HashPlane(inA, na)
+	hB, hbB, hashedB := dB.HashPlane(inB, nb)
+	root := j.rec(a, hA, b, hB, hashedA, hashedB, 0, 0, hashutil.NewRNG(dA.Seed()))
+	out, hout := core.Pack(dA.Runtime(), sc, root, j.emit)
 	if j.emit {
 		*plOut = core.Plane[K]{
 			HeavyKeys:   j.carryKeys,
@@ -170,8 +158,12 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 			plOut.Hashes, plOut.HBuf = hout.S, hout
 		}
 	}
-	hbB.Release()
-	hbA.Release()
+	if hbB != nil {
+		hbB.Release()
+	}
+	if hbA != nil {
+		hbA.Release()
+	}
 
 	*j = joiner[R, S, K, T]{}
 	parallel.PutObj(sc, j)
@@ -205,7 +197,7 @@ type joiner[R, S, K, T any] struct {
 // larger side, classify both sides against the shared heavy table and hash
 // window, join the heavy keys by broadcast, recurse on bucket pairs.
 func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
-	hashedA, hashedB bool, depth, bitDepth int, rng hashutil.RNG) *node[T] {
+	hashedA, hashedB bool, depth, bitDepth int, rng hashutil.RNG) *core.Node[T] {
 	na, nb := len(curA), len(curB)
 	if na == 0 || (nb == 0 && j.kind != joinAnti) {
 		return nil
@@ -243,11 +235,6 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 		lvB = j.dB.PlanLevel(curB, hB, hashedB, true, bitDepth, &rng)
 		lvA = j.dA.ForeignLevel(&lvB, na)
 		planned = &lvB
-	}
-	if depth == 0 && j.emit {
-		// The level-0 heavy keys ride the output plane for downstream
-		// adoption; copied out before the table is pooled.
-		j.carryKeys, j.carryHashes = planned.HeavyCarry()
 	}
 	frng := rng
 	nH, nLight := lvA.NH, lvA.NLight
@@ -287,9 +274,9 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	planned.ReleaseSample()
 
 	// Broadcast join of the heavy keys, reading both sides in place.
-	nd := newNode[T](sc)
+	nd := core.NewNode[T](sc)
 	if nH > 0 {
-		nd.own, nd.hown = j.emitHeavy(planned, aLog, bLog, curA, curB)
+		nd.Own, nd.HOwn = j.emitHeavy(planned, aLog, bLog, curA, curB, depth == 0 && j.emit)
 		bLog.release(sc)
 		aLog.release(sc)
 	}
@@ -298,9 +285,9 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 	// Local Refining on co-partitioned bucket pairs. Window bits were
 	// consumed identically on both sides, so bucket q of a can only match
 	// bucket q of b.
-	nd.kids = parallel.GetBuf[*node[T]](sc, nLight)
-	nd.kids.Zero()
-	kids := nd.kids.S
+	nd.Kids = parallel.GetBuf[*core.Node[T]](sc, nLight)
+	nd.Kids.Zero()
+	kids := nd.Kids.S
 	lightA, hlA := lightABuf.S, hlABuf.S
 	lightB, hlB := lightBBuf.S, hlBBuf.S
 	j.dA.ForBuckets(planned.Serial, nLight, func(q int) {
@@ -329,8 +316,10 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 // per-key offsets, so the fill parallelizes over keys without affecting the
 // row order. Plane-emitting calls also fill the aligned hash chunk: every
 // row of heavy key h shares the table's OrderHash[h], so no record is ever
-// re-hashed. lv is the planned level (heavy table alive).
-func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, curA []R, curB []S) (*parallel.Buf[T], *parallel.Buf[uint64]) {
+// re-hashed. lv is the planned level (heavy table alive). carry marks the
+// level-0 step of a plane-emitting call, which also copies out the keys
+// with rows for downstream adoption (see carryHeavy).
+func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, curA []R, curB []S, carry bool) (*parallel.Buf[T], *parallel.Buf[uint64]) {
 	sc := j.dA.Scratch()
 	rt := j.dA.Runtime()
 	nH := aLog.nH
@@ -354,6 +343,9 @@ func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, c
 		}
 	}
 	offs[nH] = total
+	if carry {
+		j.carryKeys, j.carryHashes = carryHeavy(lv, sa, sb)
+	}
 	own := parallel.GetBuf[T](sc, total)
 	var hown *parallel.Buf[uint64]
 	var hw []uint64
@@ -411,6 +403,26 @@ func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, c
 	}
 	offsBuf.Release()
 	return own, hown
+}
+
+// carryHeavy copies the planned level's heavy keys that have records on
+// both sides, with their hashes and in bucket-id order, out of the pooled
+// table. They are the output plane's carried keys: a key heavy on the
+// planned side but absent from the other joins no row, and a consumer that
+// adopted it would plan a heavy key its input lacks. sa and sb are the two
+// sides' per-key starts. Returns nils when no heavy key has rows.
+func carryHeavy[K any](lv *core.Level[K], sa, sb []int32) ([]K, []uint64) {
+	keys, hs := make([]K, 0, lv.NH), make([]uint64, 0, lv.NH)
+	for h := 0; h < lv.NH; h++ {
+		if sa[h+1] > sa[h] && sb[h+1] > sb[h] {
+			keys = append(keys, lv.HeavyKey(h))
+			hs = append(hs, lv.HeavyHash(h))
+		}
+	}
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	return keys, hs
 }
 
 // logPageSize is the fixed stride of one heavy-log page, in entries (32 KiB
@@ -580,14 +592,14 @@ func (l *sideLog) release(sc *parallel.Scratch) {
 // plane-emitting call copies the cached hashes alongside — or computes them
 // here for a top-level unhashed side (still exactly once per record: these
 // records never met a classify sweep).
-func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *node[T] {
+func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *core.Node[T] {
 	sc := j.dA.Scratch()
 	own := parallel.GetBuf[T](sc, len(curA))
 	for i, r := range curA {
 		own.S[i] = j.fromA(r)
 	}
-	nd := newNode[T](sc)
-	nd.own = own
+	nd := core.NewNode[T](sc)
+	nd.Own = own
 	if j.emit {
 		hown := parallel.GetBuf[uint64](sc, len(curA))
 		if hashedA {
@@ -595,7 +607,7 @@ func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *node[
 		} else {
 			j.dA.HashAll(curA, hown.S)
 		}
-		nd.hown = hown
+		nd.HOwn = hown
 	}
 	return nd
 }
@@ -603,7 +615,7 @@ func (j *joiner[R, S, K, T]) emitAll(curA []R, hA []uint64, hashedA bool) *node[
 // base runs baseImpl under the stats plane's leaf accounting (both sides
 // of the pair count as leaf records; branch-on-nil when stats are
 // disabled).
-func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) *node[T] {
+func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) *core.Node[T] {
 	if !j.dA.StatsArmed() {
 		return j.baseImpl(curA, hA, curB, hB)
 	}
@@ -625,7 +637,7 @@ func (j *joiner[R, S, K, T]) base(curA []R, hA []uint64, curB []S, hB []uint64) 
 // probe side is large — the min-side cutoff fires long before the pair is
 // cache-resident — each block emitting into its own chunk, packed in block
 // order.
-func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint64) *node[T] {
+func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint64) *core.Node[T] {
 	na, nb := len(curA), len(curB)
 	sc := j.dA.Scratch()
 	// probeB: build on a, probe with b — inner rows come out in (b-probe,
@@ -639,12 +651,12 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 	} else {
 		c = buildChains(sc, curB, hB, j.keyB, j.eq)
 	}
-	var nd *node[T]
+	var nd *core.Node[T]
 	switch {
 	case j.kind == joinCount:
 		j.probe(c, curA, hA, curB, hB, probeB, 0, nProbe, nil, nil)
-		nd = newNode[T](sc)
-		nd.own = j.countRows(c, curA, curB, probeB)
+		nd = core.NewNode[T](sc)
+		nd.Own = j.countRows(c, curA, curB, probeB)
 	case nProbe <= core.SerialCutoff:
 		// The common leaf: one serial probe into one chunk, closure-free
 		// (a per-leaf closure would dominate steady-state allocations).
@@ -654,10 +666,10 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 		// is scheduling-independent.
 		rt := j.dA.Runtime()
 		nBlocks := min(4*parallel.Workers(), (nProbe+core.SerialCutoff-1)/core.SerialCutoff)
-		nd = newNode[T](sc)
-		nd.kids = parallel.GetBuf[*node[T]](sc, nBlocks)
-		nd.kids.Zero()
-		kids := nd.kids.S
+		nd = core.NewNode[T](sc)
+		nd.Kids = parallel.GetBuf[*core.Node[T]](sc, nBlocks)
+		nd.Kids.Zero()
+		kids := nd.Kids.S
 		rt.Blocks(nProbe, nBlocks, func(b, lo, hi int) {
 			kids[b] = j.probeNode(c, curA, hA, curB, hB, probeB, lo, hi)
 		})
@@ -668,18 +680,18 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 
 // probeNode probes records [lo, hi) of the probe side into one fresh
 // chunk (with its aligned hash chunk on plane-emitting calls).
-func (j *joiner[R, S, K, T]) probeNode(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int) *node[T] {
+func (j *joiner[R, S, K, T]) probeNode(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int) *core.Node[T] {
 	sc := j.dA.Scratch()
-	nd := newNode[T](sc)
-	nd.own = parallel.GetBuf[T](sc, 0)
+	nd := core.NewNode[T](sc)
+	nd.Own = parallel.GetBuf[T](sc, 0)
 	var hout []uint64
 	if j.emit {
-		nd.hown = parallel.GetBuf[uint64](sc, 0)
-		hout = nd.hown.S[:0]
+		nd.HOwn = parallel.GetBuf[uint64](sc, 0)
+		hout = nd.HOwn.S[:0]
 	}
-	nd.own.S, hout = j.probe(c, curA, hA, curB, hB, probeB, lo, hi, nd.own.S[:0], hout)
+	nd.Own.S, hout = j.probe(c, curA, hA, curB, hB, probeB, lo, hi, nd.Own.S[:0], hout)
 	if j.emit {
-		nd.hown.S = hout
+		nd.HOwn.S = hout
 	}
 	return nd
 }

@@ -10,7 +10,10 @@
 // extraction), the skew-adaptive collapse, the absorbing id-plane engines
 // with the hash plane carried, pooled heavy tables — so the user hash runs
 // exactly once per record per call and every engine improvement to the
-// driver serves this whole workload family at once.
+// driver serves this whole workload family at once. Dedup and CountDistinct
+// are absorbing ops on core.Absorb, the one level loop collect runs on too;
+// the join keeps its own two-sided recursion and packs through core's
+// output tree.
 //
 // What makes the ops relational rather than sorting:
 //

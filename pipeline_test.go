@@ -264,6 +264,54 @@ func TestPipelineJoinMaterialized(t *testing.T) {
 	}
 }
 
+// TestPipelineJoinDedupOneSidedHeavy pins the join's carried heavy keys:
+// when the larger side has a heavy key the other side lacks, the key joins
+// no row, so the output plane must not carry it into the dedup stage that
+// adopts it. The fused chains must keep the same first row per key as the
+// unfused Dedup(JoinEq(a, b)).
+func TestPipelineJoinDedupOneSidedHeavy(t *testing.T) {
+	a := pipelineData(4096, 1000, 41)
+	b := pipelineData(100000, 1000, 42)
+	for i := 0; i < len(b); i += 2 {
+		b[i].User = 5000 // heavy in b, absent from a
+	}
+	pairF := func(l, r click) semisort.Joined[click] { return semisort.Joined[click]{Left: l, Right: r} }
+	joinedUser := func(j semisort.Joined[click]) uint64 { return j.Left.User }
+	want := semisort.Dedup(semisort.JoinEq(a, b, clickUser, clickUser, semisort.Hash64, eqID, pairF),
+		joinedUser, semisort.Hash64, eqID)
+	for _, tc := range []struct {
+		name string
+		run  func() ([]semisort.Joined[click], error)
+	}{
+		{"JoinEq", func() ([]semisort.Joined[click], error) {
+			return semisort.Query(a, clickUser, semisort.Hash64, eqID).JoinEq(b, clickUser).Dedup().RunE()
+		}},
+		{"JoinEqP", func() ([]semisort.Joined[click], error) {
+			return semisort.Query(a, clickUser, semisort.Hash64, eqID).
+				JoinEqP(semisort.Query(b, clickUser, semisort.Hash64, eqID)).Dedup().RunE()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.run()
+			if err != nil {
+				t.Fatalf("join+dedup: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("join+dedup: %d rows, want %d", len(got), len(want))
+			}
+			first := make(map[uint64][2]int, len(want))
+			for _, j := range want {
+				first[j.Left.User] = [2]int{j.Left.Seq, j.Right.Seq}
+			}
+			for _, j := range got {
+				if w, ok := first[j.Left.User]; !ok || w != [2]int{j.Left.Seq, j.Right.Seq} {
+					t.Fatalf("join+dedup kept key %d as (%d, %d), want %v", j.Left.User, j.Left.Seq, j.Right.Seq, w)
+				}
+			}
+		})
+	}
+}
+
 // TestPipelineGroupedJoin pins the both-sides-grouped merge fast path
 // against the driver join, for rows and for counts.
 func TestPipelineGroupedJoin(t *testing.T) {
