@@ -38,12 +38,18 @@ func HistogramE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, 
 		return nil, aerr
 	}
 	defer done(&err)
-	kv := collect.Histogram(a, key, hash, eq, cfg)
-	out = make([]KeyCount[K], len(kv))
-	for i, e := range kv {
-		out[i] = KeyCount[K]{Key: e.Key, Count: e.Value}
-	}
-	return out, nil
+	return collect.HistogramAs(a, nil, key, hash, eq, toKeyCount[K], cfg), nil
+}
+
+// toKeyCount and toKeyValue build the public result entries inside the
+// engine's pack pass (collect.HistogramAs, collect.ReduceAs), so each result
+// is written once.
+func toKeyCount[K any](kv collect.KV[K, int64]) KeyCount[K] {
+	return KeyCount[K]{Key: kv.Key, Count: kv.Value}
+}
+
+func toKeyValue[K, E any](kv collect.KV[K, E]) KeyValue[K, E] {
+	return KeyValue[K, E]{Key: kv.Key, Value: kv.Value}
 }
 
 // CollectReduce computes, for each distinct key, the reduction of the
@@ -72,17 +78,12 @@ func CollectReduceE[R, K, E any](a []R, key func(R) K, hash func(K) uint64, eq f
 		return nil, aerr
 	}
 	defer done(&err)
-	kv := collect.Reduce(a, collect.Reducer[R, K, E]{
+	return collect.ReduceAs(a, nil, collect.Reducer[R, K, E]{
 		Key:      key,
 		Hash:     hash,
 		Eq:       eq,
 		Map:      mapf,
 		Combine:  combine,
 		Identity: id,
-	}, cfg)
-	out = make([]KeyValue[K, E], len(kv))
-	for i, e := range kv {
-		out[i] = KeyValue[K, E]{Key: e.Key, Value: e.Value}
-	}
-	return out, nil
+	}, toKeyValue[K, E], cfg), nil
 }

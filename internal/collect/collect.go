@@ -22,7 +22,8 @@
 // id planes and counting matrices, heavy accumulators, base-case tables,
 // and the output chunks themselves) comes from the configured runtime's
 // Scratch arena, and results are packed from core's pooled output tree, so
-// repeated Reduce calls only allocate the result slice in steady state.
+// repeated Reduce calls only allocate the result slice in steady state. The
+// As variants build the caller's own result type in that pack pass.
 package collect
 
 import (
@@ -54,7 +55,7 @@ type Reducer[R, K, E any] struct {
 // keys in a deterministic order (heavy keys of each recursion level first,
 // then light buckets by bucket id). a is not modified.
 func Reduce[R, K, E any](a []R, rd Reducer[R, K, E], cfg core.Config) []KV[K, E] {
-	return reduce[R, K, E](a, nil, rd, cfg, false)
+	return ReducePlane(a, nil, rd, cfg)
 }
 
 // ReducePlane is Reduce fused into a pipeline: a non-nil input plane
@@ -62,13 +63,24 @@ func Reduce[R, K, E any](a []R, rd Reducer[R, K, E], cfg core.Config) []KV[K, E]
 // is never called) and carried heavy keys for level-0 adoption (no sampling
 // round).
 func ReducePlane[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core.Config) []KV[K, E] {
-	return reduce(a, in, rd, cfg, false)
+	rt := parallel.Or(cfg.Runtime)
+	out, _ := core.Pack(rt, rt.Scratch(), reduce(a, in, rd, cfg, false), false)
+	return out
 }
 
-// reduce is the shared body. countOnly is Histogram's fast path: rd's
-// monoid is known to be (+1, 0) over int64, so the hot loops count
-// directly and never call Map or Combine.
-func reduce[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core.Config, countOnly bool) []KV[K, E] {
+// ReduceAs is ReducePlane (in may be nil) with each result entry built by
+// conv in the engine's pack pass: the public ops get their own element type
+// without a second output-sized copy.
+func ReduceAs[R, K, E, T any](a []R, in *core.Plane[K], rd Reducer[R, K, E], conv func(KV[K, E]) T, cfg core.Config) []T {
+	rt := parallel.Or(cfg.Runtime)
+	return core.PackAs(rt, rt.Scratch(), reduce(a, in, rd, cfg, false), conv)
+}
+
+// reduce runs the collect-reduce recursion and returns its output tree for
+// the caller to pack. countOnly is Histogram's fast path: rd's monoid is
+// known to be (+1, 0) over int64, so the hot loops count directly and never
+// call Map or Combine.
+func reduce[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core.Config, countOnly bool) *core.Node[KV[K, E]] {
 	if len(a) == 0 {
 		return nil
 	}
@@ -79,11 +91,11 @@ func reduce[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core
 	s.Reducer = rd
 	s.d = d
 	s.countOnly = countOnly
-	out, _ := core.Absorb(d, a, in, s, false)
+	root := core.Absorb(d, a, in, s)
 	*s = reducer[R, K, E]{} // drop the user closures before pooling
 	parallel.PutObj(sc, s)
 	d.Release()
-	return out
+	return root
 }
 
 // Histogram counts the occurrences of each key of a (collect-reduce with
@@ -98,6 +110,21 @@ func Histogram[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K
 // HistogramPlane is Histogram fused into a pipeline (see ReducePlane for the
 // input-plane contract).
 func HistogramPlane[R, K any](a []R, in *core.Plane[K], key func(R) K, hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []KV[K, int64] {
+	rt := parallel.Or(cfg.Runtime)
+	out, _ := core.Pack(rt, rt.Scratch(), count(a, in, key, hash, eq, cfg), false)
+	return out
+}
+
+// HistogramAs is HistogramPlane (in may be nil) with each result entry
+// built by conv, as ReduceAs.
+func HistogramAs[R, K, T any](a []R, in *core.Plane[K], key func(R) K, hash func(K) uint64, eq func(K, K) bool,
+	conv func(KV[K, int64]) T, cfg core.Config) []T {
+	rt := parallel.Or(cfg.Runtime)
+	return core.PackAs(rt, rt.Scratch(), count(a, in, key, hash, eq, cfg), conv)
+}
+
+// count is reduce in count-only mode.
+func count[R, K any](a []R, in *core.Plane[K], key func(R) K, hash func(K) uint64, eq func(K, K) bool, cfg core.Config) *core.Node[KV[K, int64]] {
 	return reduce(a, in, Reducer[R, K, int64]{
 		Key:     key,
 		Hash:    hash,

@@ -38,24 +38,23 @@ type AbsorbOp[R, K, T, L any] interface {
 	Leaf(cur []R, hcur []uint64) (*parallel.Buf[T], *parallel.Buf[uint64])
 }
 
-// Absorb runs op over a and packs its output tree (see Pack): each level's
-// heavy chunk, then its light buckets in bucket-id order. When hashes is set
-// it also returns the output's aligned hash plane, which the caller
-// releases. A non-nil input plane supplies cached hashes, so the top level
-// starts hashed and the user hash never runs, and carried heavy keys, which
-// the driver adopts as the level-0 heavy table in place of a sampling round.
-// a is not modified; d stays the caller's to release.
-func Absorb[R, K, T, L any](d *Driver[R, K], a []R, in *Plane[K], op AbsorbOp[R, K, T, L], hashes bool) ([]T, *parallel.Buf[uint64]) {
+// Absorb runs op over a and returns its output tree: each level's heavy
+// chunk, then its light buckets in bucket-id order. The caller flattens it
+// with Pack, or PackAs when the result has its own element type. A non-nil
+// input plane supplies cached hashes, so the top level starts hashed and the
+// user hash never runs, and carried heavy keys, which the driver adopts as
+// the level-0 heavy table in place of a sampling round. a is not modified;
+// d stays the caller's to release.
+func Absorb[R, K, T, L any](d *Driver[R, K], a []R, in *Plane[K], op AbsorbOp[R, K, T, L]) *Node[T] {
 	if in != nil && in.HeavyKeys != nil {
 		d.Adopt(in.HeavyKeys, in.HeavyHashes)
 	}
 	hs, hb, hashed := d.HashPlane(in, len(a))
 	root := absorbRec(d, op, a, hs, hashed, 0, 0, hashutil.NewRNG(d.seed))
-	out, hout := Pack(d.rt, d.sc, root, hashes)
 	if hb != nil {
 		hb.Release()
 	}
-	return out, hout
+	return root
 }
 
 // HashPlane resolves an n-record input's top-level hash plane: an input
@@ -190,12 +189,29 @@ type packItem[T any] struct {
 // user hash. The caller owns hout (typically handing it to the next pipeline
 // stage inside a Plane) and releases it.
 func Pack[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *Node[T], hashes bool) ([]T, *parallel.Buf[uint64]) {
+	return pack(rt, sc, root, hashes, func(dst, src []T) { copy(dst, src) })
+}
+
+// PackAs is Pack for a result of another element type: conv builds each
+// result element from its chunk element inside the parallel pass, so a
+// public op writes its result once instead of converting a packed copy.
+func PackAs[T, U any](rt *parallel.Runtime, sc *parallel.Scratch, root *Node[T], conv func(T) U) []U {
+	out, _ := pack(rt, sc, root, false, func(dst []U, src []T) {
+		for i, x := range src {
+			dst[i] = conv(x)
+		}
+	})
+	return out
+}
+
+// pack is Pack and PackAs: put writes one chunk at its offset.
+func pack[T, U any](rt *parallel.Runtime, sc *parallel.Scratch, root *Node[T], hashes bool, put func(dst []U, src []T)) ([]U, *parallel.Buf[uint64]) {
 	if root == nil {
 		return nil, nil
 	}
 	itemsBuf := parallel.GetBuf[packItem[T]](sc, 0)
 	items, total := appendChunks(itemsBuf.S[:0], 0, root, hashes)
-	out := make([]T, total)
+	out := make([]U, total)
 	var hout *parallel.Buf[uint64]
 	var hs []uint64
 	if hashes {
@@ -204,7 +220,7 @@ func Pack[T any](rt *parallel.Runtime, sc *parallel.Scratch, root *Node[T], hash
 	}
 	if len(items) > 0 {
 		rt.For(len(items), 1, func(i int) {
-			copy(out[items[i].off:], items[i].src)
+			put(out[items[i].off:], items[i].src)
 			if hashes {
 				copy(hs[items[i].off:], items[i].hsrc)
 			}

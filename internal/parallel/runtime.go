@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -102,8 +103,9 @@ func NewRuntime(workers int) *Runtime {
 // (full parallelism is gone, correctness is not), so a call racing a Close
 // degrades instead of crashing. The shutdown is a nil-job sentinel per
 // worker rather than a channel close, so a concurrent announce can never
-// hit a closed channel. The shared Default runtime is process-wide by
-// design and must not be closed.
+// hit a closed channel. Close also hands the arena's idle byte-class blocks
+// back to the GC. The shared Default runtime is process-wide by design and
+// must not be closed.
 func (rt *Runtime) Close() {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return
@@ -128,6 +130,7 @@ func (rt *Runtime) Close() {
 	for i := 0; i < rt.pool; i++ {
 		rt.queue <- nil
 	}
+	rt.scratch.sweep(math.MaxInt64)
 }
 
 var (

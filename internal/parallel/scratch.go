@@ -3,32 +3,96 @@ package parallel
 import (
 	"math/bits"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 	"unsafe"
+	"weak"
 )
 
-// Scratch is a buffer arena: a set of per-type free lists for the temporary
-// slices and scratch objects the semisort kernels need on every call (record
+// Scratch is a buffer arena: free lists for the temporary slices and
+// scratch objects the semisort kernels need on every call (record
 // temporaries, counting matrices, cached bucket ids, prefix arrays, sample
 // tables, base-case hash tables). One Scratch lives inside each Runtime, so
 // every kernel sharing a runtime also shares its buffers and repeated calls
 // allocate (close to) nothing in steady state.
 //
 // Buffer-reuse contract (see DESIGN.md): buffers come back with arbitrary
-// contents — callers must not assume zeroed memory (use Buf.Zero when the
-// kernel needs zeros). Release must not be called twice, and a released
-// buffer must not be used again. Free lists are built on sync.Pool, so
-// concurrent Get/Release from any goroutine is safe, idle buffers are
-// reclaimed by the GC under memory pressure, and pooled record buffers may
-// keep their referenced objects alive until then.
+// contents and capacity — callers must not assume zeroed memory (use
+// Buf.Zero when the kernel needs zeros). Release must not be called twice,
+// and a released buffer must not be used again. Concurrent Get/Release from
+// any goroutine is safe.
+//
+// Two kinds of free list back the arena:
+//
+//   - Byte classes. A GetBuf lease of at least rawMin bytes whose element
+//     type holds no pointers is carved from a []uint64 block of the
+//     power-of-two byte class that fits it. The classes are shared by every
+//     such element type (one 16 MiB block serves a record temporary, a
+//     survivor buffer and a hash plane alike) and held strongly, so they
+//     survive garbage collection. A released block is dropped once it has
+//     sat unused for idleWindow; idle blocks are swept on release, after
+//     every GC cycle, and all at once by Runtime.Close.
+//   - sync.Pool, per type: smaller leases, leases of pointerful element
+//     types and GetObj objects. The GC trims these, and pooled record
+//     buffers may keep their referenced objects alive until it does.
 type Scratch struct {
-	pools sync.Map // reflect.Type of []T or T -> *sync.Pool
+	pools   sync.Map // reflect.Type of []T -> *bufLists; of *T -> *sync.Pool
+	classes [64]byteClass
+	armed   atomic.Bool  // a GC sweep is pending for this arena
+	now     func() int64 // test clock in ns; nil reads the monotonic clock
+}
+
+const (
+	// rawMin is the smallest lease, in bytes, served from the byte classes.
+	// It is low enough to take the absorbing ops' leaf chunks (about 2 KiB
+	// at 2^17 uniform records), which a GC would otherwise drop by the
+	// thousand.
+	rawMin = 1 << 10
+	// idleWindow is how long a released block may sit unused in its byte
+	// class before a sweep drops it.
+	idleWindow = int64(time.Second)
+)
+
+// byteClass is the free list of one power-of-two block size, oldest
+// release first: leases pop the newest block and sweeps drop from the front.
+type byteClass struct {
+	mu   sync.Mutex
+	free []idleBlock
+}
+
+type idleBlock struct {
+	mem      []uint64
+	released int64 // clock reading at release
+}
+
+// bufLists are the per-type lists of GetBuf. typed and raw pool the handles
+// of sync.Pool-backed and byte-class-backed leases apart: a typed handle
+// keeps whatever capacity appends grew it to, and a leased block must
+// never replace it.
+type bufLists struct {
+	typed, raw sync.Pool
+	size       int  // unsafe.Sizeof(T)
+	rawOK      bool // T is pointer-free, non-empty and at most 8-aligned
+}
+
+var epoch = time.Now()
+
+func (s *Scratch) clock() int64 {
+	if s.now != nil {
+		return s.now()
+	}
+	return int64(time.Since(epoch))
 }
 
 // Buf is a pooled slice handle. Use the S field; call Release when done.
 type Buf[T any] struct {
 	S    []T
 	pool *sync.Pool
+	// raw is the byte-class block S views, nil for sync.Pool-backed leases.
+	raw []uint64
+	sc  *Scratch
 	// ledger/token route Release through a call-scoped lease ledger (see
 	// LeaseBuf): after the call aborts, the release is suppressed and the
 	// buffer is discarded instead of re-pooled. Both are zero for plain
@@ -40,7 +104,8 @@ type Buf[T any] struct {
 // detach forgets the buffer's ledger (Ledger.Settle's straggler path).
 func (b *Buf[T]) detach() { b.ledger = nil }
 
-// poolFor returns the free list keyed by the given type, creating it once.
+// poolFor returns the object free list keyed by the given type, creating it
+// once.
 func (s *Scratch) poolFor(key reflect.Type) *sync.Pool {
 	if p, ok := s.pools.Load(key); ok {
 		return p.(*sync.Pool)
@@ -49,15 +114,60 @@ func (s *Scratch) poolFor(key reflect.Type) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// GetBuf takes an n-element slice of T from the arena, growing a recycled
-// buffer if needed. Contents are unspecified.
-func GetBuf[T any](s *Scratch, n int) *Buf[T] {
-	p := s.poolFor(reflect.TypeFor[[]T]())
-	b, _ := p.Get().(*Buf[T])
-	if b == nil {
-		b = &Buf[T]{pool: p}
+// listsFor returns the buffer lists of slice type key, classifying its
+// element type once.
+func (s *Scratch) listsFor(key reflect.Type) *bufLists {
+	if l, ok := s.pools.Load(key); ok {
+		return l.(*bufLists)
 	}
-	b.ledger = nil // pooled handles may carry a previous call's ledger
+	el := key.Elem()
+	l, _ := s.pools.LoadOrStore(key, &bufLists{
+		size:  int(el.Size()),
+		rawOK: el.Size() > 0 && el.Align() <= 8 && pointerFree(el),
+	})
+	return l.(*bufLists)
+}
+
+// pointerFree reports whether values of t hold no pointers the GC must
+// trace, so t may be stored in a []uint64 block.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// GetBuf takes an n-element slice of T from the arena. Contents and
+// capacity beyond n are unspecified.
+func GetBuf[T any](s *Scratch, n int) *Buf[T] {
+	l := s.listsFor(reflect.TypeFor[[]T]())
+	if l.rawOK && n*l.size >= rawMin {
+		b, _ := l.raw.Get().(*Buf[T])
+		if b == nil {
+			b = &Buf[T]{pool: &l.raw, sc: s}
+		}
+		b.ledger = nil // pooled handles may carry a previous call's ledger
+		b.raw = s.take(bits.Len(uint(n*l.size - 1)))
+		b.S = unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b.raw))), len(b.raw)*8/l.size)[:n]
+		return b
+	}
+	b, _ := l.typed.Get().(*Buf[T])
+	if b == nil {
+		b = &Buf[T]{pool: &l.typed}
+	}
+	b.ledger = nil
 	if cap(b.S) < n {
 		b.S = make([]T, ceilCap(n))
 	}
@@ -77,8 +187,99 @@ func (b *Buf[T]) Release() {
 			return
 		}
 	}
+	if b.raw != nil {
+		b.sc.put(b.raw)
+		b.raw, b.S = nil, nil
+	}
 	if b.pool != nil {
 		b.pool.Put(b)
+	}
+}
+
+// take pops the newest idle block of byte class c (1<<c bytes), or
+// allocates one.
+func (s *Scratch) take(c int) []uint64 {
+	cl := &s.classes[c]
+	cl.mu.Lock()
+	if k := len(cl.free) - 1; k >= 0 {
+		mem := cl.free[k].mem
+		cl.free[k] = idleBlock{}
+		cl.free = cl.free[:k]
+		cl.mu.Unlock()
+		return mem
+	}
+	cl.mu.Unlock()
+	return make([]uint64, 1<<c/8)
+}
+
+// put files a released block under its class, drops the class's blocks
+// that have idled past the window, and makes sure a GC sweep is pending
+// while the arena holds anything.
+func (s *Scratch) put(mem []uint64) {
+	cl := &s.classes[bits.TrailingZeros(uint(len(mem)*8))]
+	cl.mu.Lock()
+	now := s.clock() // read under the lock: each list stays in release order
+	cl.free = append(cl.free, idleBlock{mem: mem, released: now})
+	cl.dropIdle(now)
+	cl.mu.Unlock()
+	if !s.armed.Load() && s.armed.CompareAndSwap(false, true) {
+		armSweep(s)
+	}
+}
+
+// dropIdle drops the blocks released more than idleWindow before now and
+// reports how many remain. The caller holds cl.mu.
+func (cl *byteClass) dropIdle(now int64) int {
+	k := 0
+	for k < len(cl.free) && now-cl.free[k].released > idleWindow {
+		k++
+	}
+	if k > 0 {
+		m := copy(cl.free, cl.free[k:])
+		clear(cl.free[m:])
+		cl.free = cl.free[:m]
+	}
+	return len(cl.free)
+}
+
+// sweep drops every block idle past the window at time now and reports
+// how many stay. Runtime.Close sweeps at math.MaxInt64, dropping them all.
+func (s *Scratch) sweep(now int64) int {
+	held := 0
+	for c := range s.classes {
+		cl := &s.classes[c]
+		cl.mu.Lock()
+		held += cl.dropIdle(now)
+		cl.mu.Unlock()
+	}
+	return held
+}
+
+// gcSentinel is the object whose collection marks the end of a GC cycle.
+// It is large enough and pointerful, so the allocator never batches it with
+// live tiny objects.
+type gcSentinel struct {
+	_ *byte
+	_ [3]uint64
+}
+
+// armSweep schedules a sweep of s for the end of the next GC cycle: the
+// cleanup of a fresh unreachable sentinel runs once that cycle has
+// collected it. The cleanup holds s weakly, so a dropped runtime's arena is
+// collected with it instead of being kept alive by its own sweeps; while
+// the arena still holds blocks, the cleanup re-arms itself.
+func armSweep(s *Scratch) {
+	runtime.AddCleanup(new(gcSentinel), sweepAfterGC, weak.Make(s))
+}
+
+func sweepAfterGC(w weak.Pointer[Scratch]) {
+	s := w.Value()
+	if s == nil {
+		return
+	}
+	s.armed.Store(false)
+	if s.sweep(s.clock()) > 0 && s.armed.CompareAndSwap(false, true) {
+		armSweep(s)
 	}
 }
 

@@ -32,7 +32,7 @@ func CountDistinctPlane[R, K any](a []R, in *core.Plane[K],
 	sc := d.Scratch()
 	s := parallel.GetObj[counter[R, K]](sc)
 	s.key, s.eq, s.d = key, d.Eq(), d
-	core.Absorb(d, a, in, s, false)
+	core.Pack(d.Runtime(), sc, core.Absorb(d, a, in, s), false) // frees the empty tree
 	total := s.total.Load()
 	*s = counter[R, K]{} // drop the user closures and the total before pooling
 	parallel.PutObj(sc, s)

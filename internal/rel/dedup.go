@@ -42,7 +42,7 @@ func DedupPlane[R, K any](a []R, in *core.Plane[K], emit bool,
 	s := parallel.GetObj[deduper[R, K]](sc)
 	s.key, s.eq, s.d = key, d.Eq(), d
 	s.emit = emit
-	out, hout := core.Absorb(d, a, in, s, emit)
+	out, hout := core.Pack(d.Runtime(), sc, core.Absorb(d, a, in, s), emit)
 	*s = deduper[R, K]{} // drop the user closures before pooling
 	parallel.PutObj(sc, s)
 	d.Release()

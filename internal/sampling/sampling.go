@@ -298,12 +298,11 @@ func build[R, K any](a []R, key func(R) K, hashAt func(idx int) uint64, eq func(
 	slotHashBuf := parallel.GetBuf[uint64](sc, tabCap)
 	slotRecBuf := parallel.GetBuf[int32](sc, tabCap) // index into a of the slot's first record
 	slotCntBuf := parallel.GetBuf[int32](sc, tabCap)
-	orderBuf := parallel.GetBuf[uint64](sc, 0)
+	orderBuf := parallel.GetBuf[uint64](sc, m) // one entry per new slot, at most one per draw
 	slotCntBuf.Zero()
 	slotHash, slotRec, slotCnt := slotHashBuf.S, slotRecBuf.S, slotCntBuf.S
-	order := orderBuf.S
+	order := orderBuf.S[:0]
 	defer func() {
-		orderBuf.S = order[:0]
 		orderBuf.Release()
 		slotCntBuf.Release()
 		slotRecBuf.Release()

@@ -481,12 +481,8 @@ func (p *pipeCore[R, K]) histogramE(op string) (out []KeyCount[K], err error) {
 		return nil, err
 	}
 	p.staged(op, func() {
-		kv := p.histKV()
+		out = p.histogram()
 		p.finish()
-		out = make([]KeyCount[K], len(kv))
-		for i, e := range kv {
-			out[i] = KeyCount[K]{Key: e.Key, Count: e.Value}
-		}
 	})
 	if err = p.takeFault(); err != nil {
 		return nil, err
@@ -556,6 +552,19 @@ func (p *pipeCore[R, K]) histKV() []collect.KV[K, int64] {
 	default:
 		return collect.HistogramPlane(p.data, &p.plane, p.key, p.hash, p.eq, p.cfg)
 	}
+}
+
+// histogram is histKV in the public result type. The engine writes it once,
+// in its pack pass; the grouped, distinct and staged-join counts are
+// converted in one parallel pass.
+func (p *pipeCore[R, K]) histogram() []KeyCount[K] {
+	if p.pend == nil && !p.plane.Grouped && !p.plane.Distinct {
+		return collect.HistogramAs(p.data, &p.plane, p.key, p.hash, p.eq, toKeyCount[K], p.cfg)
+	}
+	kv := p.histKV()
+	out := make([]KeyCount[K], len(kv))
+	p.rt().For(len(kv), 1024, func(i int) { out[i] = toKeyCount(kv[i]) })
+	return out
 }
 
 // settle forces a staged join into materialized rows (its plane riding

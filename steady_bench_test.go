@@ -21,7 +21,10 @@ func steadyData(n int, spec dist.Spec) []bench.P64 {
 	return bench.Make64(n, spec, 42)
 }
 
-func benchSteady(b *testing.B, data []bench.P64, opts ...semisort.Option) {
+// benchSteady times repeated SortEq calls on data. With afterGC set, a GC
+// runs untimed before each call, as a service's own allocations trigger
+// them: B/op and allocs/op then show what the arena keeps across a GC.
+func benchSteady(b *testing.B, data []bench.P64, afterGC bool, opts ...semisort.Option) {
 	key := func(p bench.P64) uint64 { return p.K }
 	eq := func(x, y uint64) bool { return x == y }
 	work := make([]bench.P64, len(data))
@@ -34,6 +37,9 @@ func benchSteady(b *testing.B, data []bench.P64, opts ...semisort.Option) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		parallel.Copy(work, data)
+		if afterGC {
+			runtime.GC()
+		}
 		b.StartTimer()
 		semisort.SortEq(work, key, semisort.Hash64, eq, opts...)
 	}
@@ -45,25 +51,28 @@ func benchSteady(b *testing.B, data []bench.P64, opts ...semisort.Option) {
 // allocs/op is (near) zero after warm-up.
 func BenchmarkSortEqSteadyState(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		n    int
-		spec dist.Spec
+		name    string
+		n       int
+		spec    dist.Spec
+		afterGC bool
 	}{
-		{"distinct", 1 << 19, dist.Spec{Kind: dist.Uniform, Param: 1 << 19}},
-		{"zipf-1.2", 1 << 19, dist.Spec{Kind: dist.Zipfian, Param: 1.2}},
+		{"distinct", 1 << 19, dist.Spec{Kind: dist.Uniform, Param: 1 << 19}, false},
+		// The cold-arena row: a GC before every call.
+		{"distinct/after-gc", 1 << 19, dist.Spec{Kind: dist.Uniform, Param: 1 << 19}, true},
+		{"zipf-1.2", 1 << 19, dist.Spec{Kind: dist.Zipfian, Param: 1.2}, false},
 		// One stream flush: a batch below the base-case threshold is a
 		// single leaf, with no distribution level above it.
-		{"batch-4096/zipf-1.2", 4096, dist.Spec{Kind: dist.Zipfian, Param: 1.2}},
+		{"batch-4096/zipf-1.2", 4096, dist.Spec{Kind: dist.Zipfian, Param: 1.2}, false},
 	} {
 		data := steadyData(c.n, c.spec)
-		b.Run(c.name, func(b *testing.B) { benchSteady(b, data) })
+		b.Run(c.name, func(b *testing.B) { benchSteady(b, data, c.afterGC) })
 	}
 	// The acceptance-tracking cell of the perf trajectory: uniform 64-bit
 	// distinct keys at n=10^7 (also recorded by `make bench` into
 	// BENCH_steady.json).
 	b.Run("distinct-10M", func(b *testing.B) {
 		n := 10_000_000
-		benchSteady(b, steadyData(n, dist.Spec{Kind: dist.Uniform, Param: float64(n)}))
+		benchSteady(b, steadyData(n, dist.Spec{Kind: dist.Uniform, Param: float64(n)}), false)
 	})
 }
 
@@ -73,7 +82,7 @@ func BenchmarkSortEqSteadyState(b *testing.B) {
 func BenchmarkSortEqSteadyStateOwnRuntime(b *testing.B) {
 	rt := semisort.NewRuntime(0)
 	data := steadyData(1<<19, dist.Spec{Kind: dist.Zipfian, Param: 1.2})
-	benchSteady(b, data, semisort.WithRuntime(rt))
+	benchSteady(b, data, false, semisort.WithRuntime(rt))
 }
 
 // BenchmarkDedupStreamSteadyState is the streaming service's steady state:
