@@ -66,9 +66,15 @@
 // its grouped/distinct shape:
 //
 //	top := semisort.Query(clicks, clickUser, semisort.Hash64, eqU64).
-//	    Dedup().               // hashes clicks once, emits the hash plane
-//	    JoinEq(imps, impUser). // consumes the plane; hashes only imps
+//	    Dedup().               // deferred: the join only needs key presence
+//	    JoinEq(imps, impUser). // hashes clicks and imps once each
 //	    TopK(10)               // counts matches; no joined row materialized
+//
+// Dedup and JoinEq are deferred stages, planned by their consumer: the
+// counting terminal above counts the clicks side by key presence in the
+// join's one classify sweep, so the dedup never materializes its output,
+// while a consumer that needs the deduplicated records (Run, Sort, a join
+// that builds rows) runs it first as a stage of its own.
 //
 // A pipeline keys its whole chain by the one key given to Query, is
 // single-use (stages consume their receiver; terminals release pooled

@@ -8,9 +8,10 @@
 //  1. dedup→join→top-k: reduce a click stream to one record per user (the
 //     user's first click wins), equi-join those users against an impression
 //     stream on the user id, rank the top-10 users by impression count.
-//     Fused, the join's output rows are never materialized: the counting
-//     terminal multiplies per-key match counts. (A pipeline has one key for
-//     its whole chain — dedup and join here both key on the user id.)
+//     Fused, neither the deduplicated clicks nor the join's output rows are
+//     materialized: the counting terminal counts the click side by user
+//     presence and multiplies per-key match counts. (A pipeline has one key
+//     for its whole chain — dedup and join here both key on the user id.)
 //
 //  2. skewed self-join→top-k: join two zipfian streams on their keys. The
 //     join output is quadratic in the per-key multiplicities (hundreds of
@@ -64,9 +65,10 @@ func main() {
 		func(r [2]click) uint64 { return r[0].User }, semisort.Hash64, eqU64)
 	tUnfused := time.Since(start)
 
-	// Fused: one pipeline. Dedup hashes a once and emits its hash plane; the
-	// join consumes it (hashing only b); TopK counts per-key match products
-	// without ever materializing a joined row.
+	// Fused: one pipeline. Dedup is deferred to its consumer, and TopK only
+	// needs to know whether each user clicked, so the join counts a by key
+	// presence in the same sweep that hashes a and b once each; TopK counts
+	// per-key match products without ever materializing a joined row.
 	start = time.Now()
 	topFused := semisort.Query(a, clickUser, semisort.Hash64, eqU64).
 		Dedup().

@@ -92,29 +92,69 @@ func TestPanicInKeyAndEq(t *testing.T) {
 }
 
 // TestPipelineFaultRides pins the pipeline's failure contract: a stage
-// killed by a callback panic surfaces the *PanicError from the stage call,
-// the terminal afterwards reports an error instead of half-computed data,
-// and the pipeline then counts as consumed (typed reuse panic).
+// killed by a callback panic surfaces the *PanicError from the call that
+// ran it, the terminal afterwards reports an error instead of half-computed
+// data, and the pipeline then counts as consumed (typed reuse panic). An
+// eager stage (Sort) runs at its own call; a deferred one (Dedup) runs at
+// its consumer, so its fault surfaces there.
 func TestPipelineFaultRides(t *testing.T) {
 	data := pairData(20_000, 256, 5)
 	rt := semisort.NewRuntime(4)
 	defer rt.Close()
-	in := chaos.PanicAt(100, "stage-boom")
-	p := semisort.Query(data, keyOf, chaos.Hash(in, semisort.Hash64), eqU,
-		semisort.WithRuntime(rt), semisort.WithSeed(1))
-	pe := recoverPanicError(t, func() { p.Dedup() })
-	if pe == nil || pe.Value != "stage-boom" {
-		t.Fatalf("stage fault = %v, want contained stage-boom", pe)
+	for _, tc := range []struct {
+		name  string
+		quiet func(p *semisort.Pipeline[pair, uint64]) // stages that run nothing yet
+		fault func(p *semisort.Pipeline[pair, uint64]) // the call that runs the faulting stage
+	}{
+		{"eager", func(*semisort.Pipeline[pair, uint64]) {}, func(p *semisort.Pipeline[pair, uint64]) { p.Sort() }},
+		{"deferred", func(p *semisort.Pipeline[pair, uint64]) { p.Dedup() }, func(p *semisort.Pipeline[pair, uint64]) { p.Sort() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := chaos.PanicAt(100, "stage-boom")
+			p := semisort.Query(data, keyOf, chaos.Hash(in, semisort.Hash64), eqU,
+				semisort.WithRuntime(rt), semisort.WithSeed(1))
+			if pe := recoverPanicError(t, func() { tc.quiet(p) }); pe != nil {
+				t.Fatalf("a deferred stage faulted at its own call: %v", pe)
+			}
+			pe := recoverPanicError(t, func() { tc.fault(p) })
+			if pe == nil || pe.Value != "stage-boom" {
+				t.Fatalf("stage fault = %v, want contained stage-boom", pe)
+			}
+			if out, err := p.RunE(); err == nil {
+				t.Fatalf("terminal after a faulted stage returned %d rows and nil error", len(out))
+			}
+			defer func() {
+				if _, ok := recover().(*semisort.PipelineConsumedError); !ok {
+					t.Fatal("reuse after a delivered fault did not raise *PipelineConsumedError")
+				}
+			}()
+			p.Run()
+		})
 	}
-	if out, err := p.RunE(); err == nil {
-		t.Fatalf("terminal after a faulted stage returned %d rows and nil error", len(out))
+}
+
+// TestPipelineFoldedDedupFault pins where a folded Dedup's fault surfaces:
+// the join's counting terminal runs the dedup's hashing in its own classify
+// sweep, so the panic comes out of TopK and nothing before it faults.
+func TestPipelineFoldedDedupFault(t *testing.T) {
+	data := pairData(20_000, 256, 6)
+	rt := semisort.NewRuntime(4)
+	defer rt.Close()
+	in := chaos.PanicAt(100, "fold-boom")
+	var j *semisort.JoinedPipeline[pair, uint64]
+	if pe := recoverPanicError(t, func() {
+		j = semisort.Query(data[:10_000], keyOf, chaos.Hash(in, semisort.Hash64), eqU,
+			semisort.WithRuntime(rt), semisort.WithSeed(1)).Dedup().JoinEq(data[10_000:], keyOf)
+	}); pe != nil {
+		t.Fatalf("Dedup or JoinEq faulted before the terminal: %v", pe)
 	}
-	defer func() {
-		if _, ok := recover().(*semisort.PipelineConsumedError); !ok {
-			t.Fatal("reuse after a delivered fault did not raise *PipelineConsumedError")
-		}
-	}()
-	p.Run()
+	pe := recoverPanicError(t, func() { j.TopK(8) })
+	if pe == nil || pe.Value != "fold-boom" {
+		t.Fatalf("terminal fault = %v, want contained fold-boom", pe)
+	}
+	if _, err := j.TopKE(8); err == nil {
+		t.Fatal("terminal after a faulted fold returned nil error")
+	}
 }
 
 // TestRunAfterFaultEquivalence is the pool-poisoning gate: after a storm of

@@ -3,7 +3,9 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -307,6 +309,50 @@ func TestRuntimeCloseRacingCalls(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		if got := <-done; got != 50*10000 {
 			t.Fatalf("a call racing Close lost iterations: %d of %d", got, 50*10000)
+		}
+	}
+}
+
+// spin keeps the calling goroutine busy for d.
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}
+
+// BenchmarkParkedWorkerFork times a small fork whose pool worker has
+// parked: ForRange jobs of 2 and 8 equal chunks of busy work, totalling 20,
+// 50 and 100 µs, on NewRuntime(2), with the caller busy for 30 µs between
+// jobs, as between a service's small calls. It reports the median µs per
+// job and the share of chunks the pool worker stole (Runtime.Metrics). A
+// job the caller runs alone takes its total; a worker that joins at once
+// halves it.
+func BenchmarkParkedWorkerFork(b *testing.B) {
+	for _, chunks := range []int{2, 8} {
+		for _, total := range []time.Duration{20 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond} {
+			b.Run(fmt.Sprintf("chunks=%d/total=%dus", chunks, total.Microseconds()), func(b *testing.B) {
+				rt := NewRuntime(2)
+				defer rt.Close()
+				per := total / time.Duration(chunks)
+				body := func(lo, hi int) {
+					for range hi - lo {
+						spin(per)
+					}
+				}
+				lat := make([]time.Duration, 0, b.N)
+				m0 := rt.Metrics()
+				for i := 0; i < b.N; i++ {
+					spin(30 * time.Microsecond)
+					t0 := time.Now()
+					rt.ForRange(chunks, 1, body)
+					lat = append(lat, time.Since(t0))
+				}
+				m1 := rt.Metrics()
+				slices.Sort(lat)
+				b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "us/job")
+				stolen := m1.ChunksStolen - m0.ChunksStolen
+				all := stolen + m1.ChunksByOwner - m0.ChunksByOwner
+				b.ReportMetric(float64(stolen)/float64(max(all, 1)), "stolen-share")
+			})
 		}
 	}
 }

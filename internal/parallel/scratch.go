@@ -196,6 +196,30 @@ func (b *Buf[T]) Release() {
 	}
 }
 
+// GrowBuf makes room for need elements in an append-filled lease: it
+// returns b when cap(b.S) holds need, otherwise a fresh lease from s with
+// b.S copied in and b released. The fresh lease is at least twice b's
+// capacity and at least rawMin bytes, so a pointer-free fill lives in the
+// byte classes from its first element on, where append's reallocation
+// would move it onto the heap for a GC to drop. b may be nil (nothing
+// filled yet).
+func GrowBuf[T any](s *Scratch, b *Buf[T], need int) *Buf[T] {
+	var old []T
+	if b != nil {
+		if need <= cap(b.S) {
+			return b
+		}
+		old = b.S
+	}
+	var zero T
+	nb := GetBuf[T](s, max(need, 2*cap(old), rawMin/max(1, int(unsafe.Sizeof(zero)))))
+	nb.S = nb.S[:copy(nb.S, old)]
+	if b != nil {
+		b.Release()
+	}
+	return nb
+}
+
 // take pops the newest idle block of byte class c (1<<c bytes), or
 // allocates one.
 func (s *Scratch) take(c int) []uint64 {

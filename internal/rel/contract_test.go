@@ -63,7 +63,9 @@ func TestJoinHashOncePerRecordBothSides(t *testing.T) {
 		{"Join", func(h func(uint64) uint64) { Join(as, bs, recKey, recKey, h, eqU64, pair, core.Config{}) }},
 		{"SemiJoin", func(h func(uint64) uint64) { SemiJoin(as, bs, recKey, recKey, h, eqU64, core.Config{}) }},
 		{"AntiJoin", func(h func(uint64) uint64) { AntiJoin(as, bs, recKey, recKey, h, eqU64, core.Config{}) }},
-		{"JoinCount", func(h func(uint64) uint64) { JoinCount(as, nil, bs, nil, recKey, recKey, h, eqU64, core.Config{}) }},
+		{"JoinCount", func(h func(uint64) uint64) {
+			JoinCount(as, nil, bs, nil, recKey, recKey, h, eqU64, false, false, core.Config{})
+		}},
 	} {
 		var calls atomic.Int64
 		op.run(countingHash(&calls))
@@ -159,7 +161,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 			dedup:    Dedup(as, recKey, hashMix, eqU64, cfg),
 			join:     Join(as, bs, recKey, recKey, hashMix, eqU64, pair, cfg),
 			anti:     AntiJoin(as, bs, recKey, recKey, hashMix, eqU64, cfg),
-			count:    JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg),
+			count:    JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, false, false, cfg),
 			distinct: CountDistinct(as, recKey, hashMix, eqU64, cfg),
 		}
 		var hout *parallel.Buf[uint64]

@@ -70,7 +70,7 @@ func TestEqNeverRunsOnDisjointDistinctJoin(t *testing.T) {
 		{"Join", func(cfg core.Config) int { return len(Join(as, bs, recKey, recKey, hashMix, eqU64, pair, cfg)) }},
 		{"SemiJoin", func(cfg core.Config) int { return len(SemiJoin(as, bs, recKey, recKey, hashMix, eqU64, cfg)) }},
 		{"JoinCount", func(cfg core.Config) int {
-			return len(JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg))
+			return len(JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, false, false, cfg))
 		}},
 	} {
 		var eqs atomic.Int64

@@ -113,10 +113,12 @@ func JoinGrouped[R, S, K, T any](a []R, boundsA []int32, b []S, boundsB []int32,
 // JoinGroupedCount is JoinCount over two already-grouped relations: the
 // group matching of JoinGrouped with the cross products replaced by size
 // products — one KV per matched group pair, in probe-group order, without
-// materializing a row. Hash calls: one per group of either side.
+// materializing a row. presA (presB) counts that side by key presence, each
+// group as one record, as in JoinCount. Hash calls: one per group of either
+// side.
 func JoinGroupedCount[R, S, K any](a []R, boundsA []int32, b []S, boundsB []int32,
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
-	cfg core.Config) []collect.KV[K, int64] {
+	presA, presB bool, cfg core.Config) []collect.KV[K, int64] {
 	gA, gB := len(boundsA)-1, len(boundsB)-1
 	if gA <= 0 || gB <= 0 {
 		return nil
@@ -137,10 +139,14 @@ func JoinGroupedCount[R, S, K any](a []R, boundsA []int32, b []S, boundsB []int3
 		if swap {
 			ga, gb = pr[1], pr[0]
 		}
-		out[p] = collect.KV[K, int64]{
-			Key:   keyA(a[boundsA[ga]]),
-			Value: int64(boundsA[ga+1]-boundsA[ga]) * int64(boundsB[gb+1]-boundsB[gb]),
+		na, nb := int64(boundsA[ga+1]-boundsA[ga]), int64(boundsB[gb+1]-boundsB[gb])
+		if presA {
+			na = 1
 		}
+		if presB {
+			nb = 1
+		}
+		out[p] = collect.KV[K, int64]{Key: keyA(a[boundsA[ga]]), Value: na * nb}
 	})
 	pairs.Release()
 	return out

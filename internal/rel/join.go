@@ -38,7 +38,7 @@ const (
 // b-order per key — then bucket pairs by bucket id).
 func Join[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, joinF func(R, S) T, cfg core.Config) []T {
-	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, nil, joinInner, cfg, nil, nil, nil)
+	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, nil, joinInner, false, false, cfg, nil, nil, nil)
 }
 
 // JoinPlane is the inner equi-join fused into a pipeline. inA/inB, when
@@ -52,7 +52,7 @@ func Join[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 func JoinPlane[R, S, K, T any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
 	joinF func(R, S) T, out *core.Plane[K], cfg core.Config) []T {
-	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, nil, joinInner, cfg, inA, inB, out)
+	return runJoin[R, S, K, T](a, b, keyA, keyB, hash, eq, joinF, nil, nil, joinInner, false, false, cfg, inA, inB, out)
 }
 
 // SemiJoin returns the records of a whose key appears in b — each a-record
@@ -61,7 +61,7 @@ func JoinPlane[R, S, K, T any](a []R, inA *core.Plane[K], b []S, inB *core.Plane
 // partitioning scheme.
 func SemiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []R {
-	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinSemi, cfg, nil, nil, nil)
+	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinSemi, false, false, cfg, nil, nil, nil)
 }
 
 // SemiJoinPlane is SemiJoin fused into a pipeline: inA/inB, when non-nil,
@@ -69,7 +69,7 @@ func SemiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 // semi-join emits a-records, not rows, so there is no output plane.
 func SemiJoinPlane[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []R {
-	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinSemi, cfg, inA, inB, nil)
+	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinSemi, false, false, cfg, inA, inB, nil)
 }
 
 // AntiJoin returns the records of a whose key does NOT appear in b. Order is
@@ -77,7 +77,7 @@ func SemiJoinPlane[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plan
 // partitioning scheme.
 func AntiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []R {
-	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinAnti, cfg, nil, nil, nil)
+	return runJoin[R, S, K, R](a, b, keyA, keyB, hash, eq, nil, identity[R], nil, joinAnti, false, false, cfg, nil, nil, nil)
 }
 
 // JoinCount computes the per-key row counts of the inner equi-join of a and
@@ -88,6 +88,12 @@ func AntiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 // structurally — a zipfian join can emit orders of magnitude more rows than
 // either input holds, and this op never writes one. inA/inB supply cached
 // hash planes exactly as in JoinPlane.
+//
+// presA (presB) counts that side by key presence: each key's multiplicity
+// there counts as min(count, 1), so the result is exactly the counting join
+// of Dedup(a) (Dedup(b)) — without running the dedup, packing its output
+// or distributing it a second time. The keys and their row counts do not
+// depend on which records a dedup would keep, so presence loses nothing.
 //
 // It is the equi-join's recursion with every record-logging stage demoted
 // to counting: heavy records tick the per-(subarray, key) count matrix
@@ -102,8 +108,8 @@ func AntiJoin[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 // first-occurrence order). Neither input is modified.
 func JoinCount[R, S, K any](a []R, inA *core.Plane[K], b []S, inB *core.Plane[K],
 	keyA func(R) K, keyB func(S) K, hash func(K) uint64, eq func(K, K) bool,
-	cfg core.Config) []collect.KV[K, int64] {
-	return runJoin[R, S, K, collect.KV[K, int64]](a, b, keyA, keyB, hash, eq, nil, nil, countKV[K], joinCount, cfg, inA, inB, nil)
+	presA, presB bool, cfg core.Config) []collect.KV[K, int64] {
+	return runJoin[R, S, K, collect.KV[K, int64]](a, b, keyA, keyB, hash, eq, nil, nil, countKV[K], joinCount, presA, presB, cfg, inA, inB, nil)
 }
 
 func identity[R any](r R) R { return r }
@@ -113,12 +119,13 @@ func countKV[K any](k K, n int64) collect.KV[K, int64] { return collect.KV[K, in
 // runJoin is the shared body. Each kind builds its rows with one
 // constructor: joinF for the inner join's pairs, fromA for the kinds that
 // emit a-records (semi, anti: T is R and fromA is the identity), countF for
-// the counting join's (key, row count) pairs. inA/inB/plOut are the
+// the counting join's (key, row count) pairs. presA/presB are the counting
+// join's presence sides (see JoinCount). inA/inB/plOut are the
 // pipeline-fusion hooks (see JoinPlane); nil for the plain entry points.
 func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool,
-	joinF func(R, S) T, fromA func(R) T, countF func(K, int64) T, kind joinKind, cfg core.Config,
-	inA, inB, plOut *core.Plane[K]) []T {
+	joinF func(R, S) T, fromA func(R) T, countF func(K, int64) T, kind joinKind, presA, presB bool,
+	cfg core.Config, inA, inB, plOut *core.Plane[K]) []T {
 	na, nb := len(a), len(b)
 	if na == 0 || (nb == 0 && kind != joinAnti) {
 		if kind == joinAnti && na > 0 { // empty b: nothing can match
@@ -139,6 +146,7 @@ func runJoin[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	j := parallel.GetObj[joiner[R, S, K, T]](sc)
 	j.keyA, j.keyB, j.eq = keyA, keyB, dA.Eq()
 	j.joinF, j.fromA, j.countF, j.kind = joinF, fromA, countF, kind
+	j.presA, j.presB = presA, presB
 	j.dA, j.dB = dA, dB
 	j.emit = plOut != nil
 	j.carryKeys, j.carryHashes = nil, nil
@@ -188,9 +196,23 @@ type joiner[R, S, K, T any] struct {
 	dA     *core.Driver[R, K]
 	dB     *core.Driver[S, K]
 
+	presA, presB bool // counting join: that side counts each key once
+
 	emit        bool
 	carryKeys   []K
 	carryHashes []uint64
+}
+
+// rowCount is the counting join's row count of a key with na a-records and
+// nb b-records: their product, a presence side counting at most one.
+func (j *joiner[R, S, K, T]) rowCount(na, nb int64) int64 {
+	if j.presA {
+		na = min(na, 1)
+	}
+	if j.presB {
+		nb = min(nb, 1)
+	}
+	return na * nb
 }
 
 // rec joins one co-partitioned pair of buckets: plan the level over the
@@ -311,7 +333,7 @@ func (j *joiner[R, S, K, T]) rec(curA []R, hA []uint64, curB []S, hB []uint64,
 // in place through the resolved per-key index lists: per key, the inner
 // join crosses a's absorbed records in input order with b's, semi and anti
 // emit a's records wholesale or not at all (decided by b's count), and the
-// counting join emits the key once with the product of its two side
+// counting join emits the key once with the rowCount of its two side
 // totals. The output chunk is sized exactly and filled at precomputed
 // per-key offsets, so the fill parallelizes over keys without affecting the
 // row order. Plane-emitting calls also fill the aligned hash chunk: every
@@ -386,7 +408,7 @@ func (j *joiner[R, S, K, T]) emitHeavy(lv *core.Level[K], aLog, bLog *sideLog, c
 				}
 			}
 		case joinCount:
-			out[o] = j.countF(lv.HeavyKey(h), int64(sa[h+1]-sa[h])*int64(sb[h+1]-sb[h]))
+			out[o] = j.countF(lv.HeavyKey(h), j.rowCount(int64(sa[h+1]-sa[h]), int64(sb[h+1]-sb[h])))
 		default:
 			for _, ra := range ia[sa[h]:sa[h+1]] {
 				out[o] = j.fromA(curA[ra])
@@ -654,7 +676,7 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 	var nd *core.Node[T]
 	switch {
 	case j.kind == joinCount:
-		j.probe(c, curA, hA, curB, hB, probeB, 0, nProbe, nil, nil)
+		j.probe(c, curA, hA, curB, hB, probeB, 0, nProbe, nil)
 		nd = core.NewNode[T](sc)
 		nd.Own = j.countRows(c, curA, curB, probeB)
 	case nProbe <= core.SerialCutoff:
@@ -678,21 +700,11 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 	return nd
 }
 
-// probeNode probes records [lo, hi) of the probe side into one fresh
-// chunk (with its aligned hash chunk on plane-emitting calls).
+// probeNode probes records [lo, hi) of the probe side into one fresh node,
+// whose chunk the probe fills.
 func (j *joiner[R, S, K, T]) probeNode(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int) *core.Node[T] {
-	sc := j.dA.Scratch()
-	nd := core.NewNode[T](sc)
-	nd.Own = parallel.GetBuf[T](sc, 0)
-	var hout []uint64
-	if j.emit {
-		nd.HOwn = parallel.GetBuf[uint64](sc, 0)
-		hout = nd.HOwn.S[:0]
-	}
-	nd.Own.S, hout = j.probe(c, curA, hA, curB, hB, probeB, lo, hi, nd.Own.S[:0], hout)
-	if j.emit {
-		nd.HOwn.S = hout
-	}
+	nd := core.NewNode[T](j.dA.Scratch())
+	j.probe(c, curA, hA, curB, hB, probeB, lo, hi, nd)
 	return nd
 }
 
@@ -703,12 +715,14 @@ const probeBlock = 1 << 10
 
 // probe looks up probe-side records [lo, hi) in c, in input order — the
 // b side against a table over a when probeB is set, the a side against a
-// table over b otherwise — and appends what the join kind emits to out; on
-// plane-emitting calls hout receives each row's key hash (the probe
-// record's cached hash) in lockstep. The counting join only tallies each
-// key's hits into c.
-func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int, out []T, hout []uint64) ([]T, []uint64) {
+// table over b otherwise — and appends what the join kind emits to nd's
+// chunk; on plane-emitting calls nd's hash chunk receives each row's key
+// hash (the probe record's cached hash) in lockstep. The counting join only
+// tallies each key's hits into c, and passes a nil nd.
+func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int, nd *core.Node[T]) {
 	var heads [probeBlock]int32
+	var out []T
+	var hout []uint64
 	cancelable := j.dA.Cancelable()
 	for blo := lo; blo < hi; blo += probeBlock {
 		if cancelable {
@@ -733,6 +747,9 @@ func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, h
 				}
 			case j.kind == joinInner:
 				for ; x >= 0; x = c.next[x] {
+					if len(out) == cap(out) {
+						out, hout = j.grow(nd, out, hout)
+					}
 					if probeB {
 						out = append(out, j.joinF(curA[x], curB[i]))
 					} else {
@@ -743,6 +760,9 @@ func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, h
 					}
 				}
 			case (x >= 0) == (j.kind == joinSemi):
+				if len(out) == cap(out) {
+					out, hout = j.grow(nd, out, hout)
+				}
 				out = append(out, j.fromA(curA[i]))
 				if j.emit {
 					hout = append(hout, hp[o])
@@ -750,12 +770,41 @@ func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, h
 			}
 		}
 	}
-	return out, hout
+	if nd != nil && nd.Own != nil {
+		nd.Own.S = out
+		if j.emit {
+			nd.HOwn.S = hout
+		}
+	}
+}
+
+// grow makes room for one more row in nd's chunk, which holds out (and hout,
+// on plane-emitting calls). The chunks grow by re-leasing at double size
+// (parallel.GrowBuf), never by append, so they stay in the arena's byte
+// classes, which a GC does not empty. They start at one small block rather
+// than the probe count: a uniform leaf matches about one probe in eight.
+// The hash chunk grows to at least the row chunk's capacity, so the row
+// chunk's capacity alone decides when to grow.
+func (j *joiner[R, S, K, T]) grow(nd *core.Node[T], out []T, hout []uint64) ([]T, []uint64) {
+	sc := j.dA.Scratch()
+	if nd.Own != nil {
+		nd.Own.S = out
+	}
+	nd.Own = parallel.GrowBuf(sc, nd.Own, len(out)+1)
+	if j.emit {
+		if nd.HOwn != nil {
+			nd.HOwn.S = hout
+		}
+		nd.HOwn = parallel.GrowBuf(sc, nd.HOwn, cap(nd.Own.S))
+		hout = nd.HOwn.S
+	}
+	return nd.Own.S, hout
 }
 
 // countRows emits the counting join's leaf rows from a probed build: one
-// (key, build records × probe hits) per key the probe side hit, in build
-// first-occurrence order. probeB reports that c was built over a.
+// (key, rowCount of build records and probe hits) per key the probe side
+// hit, in build first-occurrence order. probeB reports that c was built
+// over a.
 func (j *joiner[R, S, K, T]) countRows(c *chains, curA []R, curB []S, probeB bool) *parallel.Buf[T] {
 	size, hits := c.size[:c.n], c.hits[:c.n]
 	matched := 0
@@ -771,12 +820,14 @@ func (j *joiner[R, S, K, T]) countRows(c *chains, curA []R, curB []S, probeB boo
 			continue
 		}
 		var k K
+		na, nb := int64(n), int64(hits[x])
 		if probeB {
 			k = j.keyA(curA[x])
 		} else {
 			k = j.keyB(curB[x])
+			na, nb = nb, na
 		}
-		own.S[o] = j.countF(k, int64(n)*int64(hits[x]))
+		own.S[o] = j.countF(k, j.rowCount(na, nb))
 		o++
 	}
 	return own

@@ -169,13 +169,19 @@ func pairRef(as, bs []rec) []uint64 {
 
 // countRef is JoinCount's reference: one KV per key present on both sides,
 // valued count_a * count_b, sorted by key.
-func countRef(as, bs []rec) []collect.KV[uint64, int64] {
+// countRef is JoinCount's map reference; a presence side counts each of its
+// keys once.
+func countRef(as, bs []rec, presA, presB bool) []collect.KV[uint64, int64] {
 	na, nb := make(map[uint64]int64), make(map[uint64]int64)
 	for _, a := range as {
-		na[a.key]++
+		if na[a.key] == 0 || !presA {
+			na[a.key]++
+		}
 	}
 	for _, b := range bs {
-		nb[b.key]++
+		if nb[b.key] == 0 || !presB {
+			nb[b.key]++
+		}
 	}
 	var want []collect.KV[uint64, int64]
 	for k, c := range na {
@@ -218,8 +224,11 @@ func checkJoin(t *testing.T, as, bs []rec) {
 		}
 	}
 	pl.Release()
-	if cnt := JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, cfg); !slices.Equal(sortedByKey(cnt), countRef(as, bs)) {
-		t.Fatalf("JoinCount: %d KVs differ from the reference", len(cnt))
+	for _, pres := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		cnt := JoinCount(as, nil, bs, nil, recKey, recKey, hashMix, eqU64, pres[0], pres[1], cfg)
+		if !slices.Equal(sortedByKey(cnt), countRef(as, bs, pres[0], pres[1])) {
+			t.Fatalf("JoinCount (presence %v): %d KVs differ from the reference", pres, len(cnt))
+		}
 	}
 
 	inB := make(map[uint64]bool)
@@ -369,8 +378,8 @@ func TestConstantHashTotality(t *testing.T) {
 	if len(got) != wantSemi {
 		t.Fatalf("semi under constant hash: %d vs %d", len(got), wantSemi)
 	}
-	cnt := JoinCount(recs, nil, bs, nil, recKey, recKey, constHash, eqU64, cfg)
-	if !slices.Equal(sortedByKey(cnt), countRef(recs, bs)) {
+	cnt := JoinCount(recs, nil, bs, nil, recKey, recKey, constHash, eqU64, false, false, cfg)
+	if !slices.Equal(sortedByKey(cnt), countRef(recs, bs, false, false)) {
 		t.Fatalf("join count under constant hash: %d KVs differ from the reference", len(cnt))
 	}
 }

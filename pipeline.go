@@ -20,7 +20,8 @@ import (
 // is a gather, a histogram over grouped data reads group lengths, a join of
 // two grouped inputs matches groups (one hash per group), and a join feeding
 // a counting terminal (Histogram, TopK, CountDistinct) never materializes a
-// joined row — per-key counts multiply instead.
+// joined row — per-key counts multiply instead, and a Dedup ahead of it
+// never runs: the join counts that side by key presence.
 //
 // A pipeline is single-use: each stage consumes its receiver and each
 // terminal releases the pipeline's pooled state. Invoking any stage or
@@ -75,10 +76,15 @@ type Pipeline[R, K any] struct {
 }
 
 // Dedup keeps one record per distinct key (the key's first record in input
-// order) and marks the output distinct. Grouped input needs one gather and
-// no hashing; otherwise the dedup runs on the driver with the input plane
-// (cached hashes, adopted heavy keys) and emits the output's hash plane for
-// the next stage.
+// order) and marks the output distinct. Like JoinEq it is deferred to its
+// consumer. A join feeding a counting terminal (Histogram, TopK,
+// CountDistinct) counts this side by key presence, min(count, 1), in its
+// own classify sweep, and CountDistinct counts the data as it is: neither
+// runs the dedup. Every other consumer runs it first, as a stage of its
+// own: grouped input needs one gather and no hashing; otherwise the dedup
+// distributes the records over the input plane (cached hashes, adopted
+// heavy keys) and emits the output's hash plane for the next stage. A callback
+// fault in a deferred dedup surfaces from the consumer that runs it.
 func (p *Pipeline[R, K]) Dedup() *Pipeline[R, K] { p.c.dedup("Dedup"); return p }
 
 // Sort groups equal-key records contiguously (semisort=) and records the
@@ -112,6 +118,7 @@ func (p *Pipeline[R, K]) JoinEq(b []R, keyB func(R) K) *JoinedPipeline[R, K] {
 		a: p.c.data, b: b,
 		keyA: p.c.key, keyB: keyB,
 		hash: p.c.hash, eq: p.c.eq,
+		dedupA: p.c.dedupPend,
 	}
 	pj.inA, p.c.plane = p.c.plane, core.Plane[K]{}
 	p.c.used = true
@@ -122,7 +129,9 @@ func (p *Pipeline[R, K]) JoinEq(b []R, keyB func(R) K) *JoinedPipeline[R, K] {
 // two pipelines' keys: both sides' planes fuse into the join (neither side
 // re-hashes what upstream already hashed), and when both sides arrive
 // grouped the join skips the driver entirely and matches groups — one hash
-// call per group instead of one per record. Both pipelines are consumed.
+// call per group instead of one per record. A pending Dedup on either side
+// folds into a counting terminal as it does for JoinEq's left side. Both
+// pipelines are consumed.
 func (p *Pipeline[R, K]) JoinEqP(b *Pipeline[R, K]) *JoinedPipeline[R, K] {
 	p.c.check("JoinEqP")
 	b.c.check("JoinEqP")
@@ -141,10 +150,10 @@ func (p *Pipeline[R, K]) JoinEqP(b *Pipeline[R, K]) *JoinedPipeline[R, K] {
 		a: p.c.data, b: b.c.data,
 		keyA: p.c.key, keyB: b.c.key,
 		hash: p.c.hash, eq: p.c.eq,
+		dedupA: p.c.dedupPend, dedupB: b.c.dedupPend,
 	}
 	pj.inA, p.c.plane = p.c.plane, core.Plane[K]{}
 	pj.inB, b.c.plane = b.c.plane, core.Plane[K]{}
-	pj.grouped = pj.inA.Grouped && pj.inB.Grouped
 	p.c.used, b.c.used = true, true
 	return joinedPipeline(&p.c, pj)
 }
@@ -190,9 +199,11 @@ func (p *Pipeline[R, K]) Histogram() []KeyCount[K] {
 func (p *Pipeline[R, K]) HistogramE() ([]KeyCount[K], error) { return p.c.histogramE("HistogramE") }
 
 // TopK returns the k most frequent keys with their counts, ordered by
-// descending count (ties broken deterministically), and ends the pipeline.
-// The selection runs over the fused histogram — O(distinct) or O(matched
-// groups), never over materialized join rows.
+// descending count, and ends the pipeline. The selection runs over the
+// fused histogram — O(distinct) or O(matched groups), never over
+// materialized join rows. Ties break by position in the histogram's
+// emission order: deterministic for a fixed seed, but set by the plan, so
+// a folded Dedup may pick other equal-count keys than a settled one would.
 func (p *Pipeline[R, K]) TopK(k int) []KeyCount[K] {
 	out, err := p.c.topKE("TopK", k)
 	mustCall(err)
@@ -204,9 +215,9 @@ func (p *Pipeline[R, K]) TopK(k int) []KeyCount[K] {
 func (p *Pipeline[R, K]) TopKE(k int) ([]KeyCount[K], error) { return p.c.topKE("TopKE", k) }
 
 // CountDistinct returns the number of distinct keys and ends the pipeline.
-// Distinct data is a length; grouped data a group count; a staged join the
-// number of matched keys; otherwise the count-only driver runs over the
-// input plane.
+// A pending Dedup never runs, since it keeps every key. Distinct data is a
+// length; grouped data a group count; a staged join the number of matched
+// keys; otherwise a count-only distribution runs over the input plane.
 func (p *Pipeline[R, K]) CountDistinct() int64 {
 	n, err := p.c.countDistinctE("CountDistinct")
 	mustCall(err)
@@ -220,9 +231,10 @@ func (p *Pipeline[R, K]) CountDistinctE() (int64, error) {
 }
 
 // Stats returns the per-stage statistics of a WithStats pipeline, one entry
-// per stage/terminal in execution order (nil without the option). Unlike
-// stages and terminals it is callable on a consumed pipeline — read it
-// after the terminal, when every stage has merged its counters; the
+// per stage/terminal that ran, in execution order (nil without the option):
+// a settled Dedup records a "Dedup" entry where it ran, a folded one none.
+// Unlike stages and terminals it is callable on a consumed pipeline — read
+// it after the terminal, when every stage has merged its counters; the
 // WithStats target holds the pipeline's total.
 func (p *Pipeline[R, K]) Stats() []StageStats { return p.c.stageStats() }
 
@@ -355,11 +367,12 @@ type pipeCore[R, K any] struct {
 	hash func(K) uint64
 	eq   func(K, K) bool
 
-	plane core.Plane[K]     // what upstream already knows about data
-	pend  pendingJoin[R, K] // staged join; non-nil means data is not yet materialized
-	owned bool              // data is pipeline-owned (safe to reorder in place)
-	used  bool
-	fault error // a stage faulted; later stages no-op and the terminal reports it
+	plane     core.Plane[K]     // what upstream already knows about data
+	pend      pendingJoin[R, K] // staged join; non-nil means data is not yet materialized
+	dedupPend bool              // a Dedup is recorded but not run (see Pipeline.Dedup)
+	owned     bool              // data is pipeline-owned (safe to reorder in place)
+	used      bool
+	fault     error // a stage faulted; later stages no-op and the terminal reports it
 
 	// stages, armed by Query when WithStats is present, accumulates one
 	// StageStats per stage/terminal in execution order. A pointer to a
@@ -370,43 +383,74 @@ type pipeCore[R, K any] struct {
 
 // pendingJoin is a join whose materialization is deferred until a terminal
 // decides whether rows are needed at all: counting terminals take per-key
-// counts (counts), everything else forces the rows (materialize, which may
-// emit the output's plane into out).
+// counts (counts, which fold the sides' pending dedups as presence),
+// everything else forces the rows (materialize, which may emit the output's
+// plane into out, running the sides' pending dedups first unless
+// settleDedup already ran them).
 type pendingJoin[R, K any] interface {
 	counts(cfg core.Config) []collect.KV[K, int64]
+	dedupPending() bool
+	settleDedup(cfg core.Config)
 	materialize(cfg core.Config, out *core.Plane[K]) []R
 	release()
 }
 
+// dedup records a pending Dedup; its consumer plans it (see
+// Pipeline.Dedup).
 func (p *pipeCore[R, K]) dedup(op string) {
 	p.check(op)
-	p.staged(op, func() {
-		p.settle()
-		switch {
-		case p.plane.Distinct:
-			// Already one record per key: nothing to drop.
-		case p.plane.Grouped:
-			p.data = rel.FirstPerGroup(p.rt(), p.data, p.plane.Bounds)
-			p.plane.Release()
-			p.plane.Distinct = true
-			p.owned = true
-		default:
-			out, hout := rel.DedupPlane(p.data, &p.plane, true, p.key, p.hash, p.eq, p.cfg)
-			p.plane.Release()
-			p.data = out
-			p.plane.Distinct = true
-			// Distinct output makes the carried heavy keys singletons, so only
-			// the hash plane rides forward.
-			if hout != nil {
-				p.plane.Hashes, p.plane.HBuf = hout.S, hout
-			}
-			p.owned = true
+	if p.fault == nil {
+		p.dedupPend = true
+	}
+}
+
+// settleDedup runs the pending dedups as stages of their own, each recorded
+// as a "Dedup" entry, for a consumer that needs the deduplicated records: a
+// staged join's side dedups, then the pipeline's own.
+func (p *pipeCore[R, K]) settleDedup() {
+	if p.pend != nil && p.pend.dedupPending() {
+		p.staged("Dedup", func() { p.pend.settleDedup(p.cfg) })
+	}
+	if p.dedupPend {
+		p.dedupPend = false
+		p.staged("Dedup", func() {
+			p.settle()
+			p.data = dedupData(p.data, &p.plane, p.key, p.hash, p.eq, p.cfg)
+			p.owned = true // fresh output, or distinct data a dedup already made
+		})
+	}
+}
+
+// dedupData keeps each key's first record of data, consuming its plane pl
+// and leaving the output's plane in its place. Distinct data is returned
+// as it is; grouped data dedups with one gather and no hashing; otherwise
+// rel.DedupPlane distributes the records over pl and emits the output's
+// hash plane.
+func dedupData[R, K any](data []R, pl *core.Plane[K], key func(R) K, hash func(K) uint64,
+	eq func(K, K) bool, cfg core.Config) (out []R) {
+	switch {
+	case pl.Distinct:
+		return data
+	case pl.Grouped:
+		out = rel.FirstPerGroup(parallel.Or(cfg.Runtime), data, pl.Bounds)
+		pl.Release()
+	default:
+		var hout *parallel.Buf[uint64]
+		out, hout = rel.DedupPlane(data, pl, true, key, hash, eq, cfg)
+		pl.Release()
+		// Distinct output makes the carried heavy keys singletons, so only
+		// the hash plane rides forward.
+		if hout != nil {
+			pl.Hashes, pl.HBuf = hout.S, hout
 		}
-	})
+	}
+	pl.Distinct = true
+	return out
 }
 
 func (p *pipeCore[R, K]) sort(op string) {
 	p.check(op)
+	p.settleDedup()
 	p.staged(op, func() {
 		p.settle()
 		if !p.plane.Grouped {
@@ -420,6 +464,7 @@ func (p *pipeCore[R, K]) runE(op string) (out []R, err error) {
 	if err = p.takeFault(); err != nil {
 		return nil, err
 	}
+	p.settleDedup()
 	p.staged(op, func() {
 		p.settle()
 		out = p.data
@@ -436,6 +481,7 @@ func (p *pipeCore[R, K]) groupsE(op string) (out []R, groups []Group, err error)
 	if err = p.takeFault(); err != nil {
 		return nil, nil, err
 	}
+	p.settleDedup()
 	p.staged(op, func() {
 		p.settle()
 		if !p.plane.Grouped {
@@ -480,6 +526,11 @@ func (p *pipeCore[R, K]) histogramE(op string) (out []KeyCount[K], err error) {
 	if err = p.takeFault(); err != nil {
 		return nil, err
 	}
+	if p.dedupPend {
+		// Counting the deduplicated records needs them (each counts one);
+		// without it a staged join's side dedups fold into its counts.
+		p.settleDedup()
+	}
 	p.staged(op, func() {
 		out = p.histogram()
 		p.finish()
@@ -494,6 +545,9 @@ func (p *pipeCore[R, K]) topKE(op string, k int) (out []KeyCount[K], err error) 
 	p.check(op)
 	if err = p.takeFault(); err != nil {
 		return nil, err
+	}
+	if p.dedupPend { // as in histogramE
+		p.settleDedup()
 	}
 	p.staged(op, func() {
 		kv := rel.SelectTopK(p.histKV(), k, p.cfg)
@@ -514,6 +568,9 @@ func (p *pipeCore[R, K]) countDistinctE(op string) (n int64, err error) {
 	if err = p.takeFault(); err != nil {
 		return 0, err
 	}
+	// A dedup keeps every key, so the count needs none: a pending one is
+	// dropped unrun, and a staged join's side dedups fold into its counts.
+	p.dedupPend = false
 	p.staged(op, func() {
 		switch {
 		case p.pend != nil:
@@ -677,6 +734,7 @@ func (p *pipeCore[R, K]) fail(err error) {
 	}
 	p.plane = core.Plane[K]{}
 	p.pend = nil
+	p.dedupPend = false
 	p.data = nil
 	p.used = true
 }
@@ -715,26 +773,54 @@ func (p *pipeCore[R, K]) finish() {
 }
 
 // eqJoin is the staged same-record-type equi-join behind JoinEq/JoinEqP.
+// When both sides arrive grouped it matches groups instead of distributing.
 type eqJoin[R, K any] struct {
-	a, b       []R
-	inA, inB   core.Plane[K]
-	keyA, keyB func(R) K
-	hash       func(K) uint64
-	eq         func(K, K) bool
-	grouped    bool // both sides grouped: match groups, skip the driver
+	a, b           []R
+	inA, inB       core.Plane[K]
+	keyA, keyB     func(R) K
+	hash           func(K) uint64
+	eq             func(K, K) bool
+	dedupA, dedupB bool // the side's Dedup is pending: counted by presence, run before rows
 }
 
+// counts folds the sides' pending dedups: a deduplicated side holds each of
+// its keys once, so counting it by presence gives the same per-key counts
+// without running the dedup. The exception is a grouped side facing an
+// ungrouped one: no group merge runs, and its plane was spent by the sort,
+// so the join's classify sweep would hash every record of it again, while
+// its dedup is a gather that hashes nothing and leaves the join its
+// distinct records.
 func (p *eqJoin[R, K]) counts(cfg core.Config) []collect.KV[K, int64] {
-	if p.grouped {
+	if p.inA.Grouped && p.inB.Grouped {
 		return rel.JoinGroupedCount(p.a, p.inA.Bounds, p.b, p.inB.Bounds,
-			p.keyA, p.keyB, p.hash, p.eq, cfg)
+			p.keyA, p.keyB, p.hash, p.eq, p.dedupA, p.dedupB, cfg)
 	}
-	return rel.JoinCount(p.a, &p.inA, p.b, &p.inB, p.keyA, p.keyB, p.hash, p.eq, cfg)
+	p.settle(cfg, p.inA.Grouped, p.inB.Grouped)
+	return rel.JoinCount(p.a, &p.inA, p.b, &p.inB, p.keyA, p.keyB, p.hash, p.eq, p.dedupA, p.dedupB, cfg)
+}
+
+func (p *eqJoin[R, K]) dedupPending() bool { return p.dedupA || p.dedupB }
+
+// settleDedup runs the sides' pending dedups: rows join first-occurrence
+// records.
+func (p *eqJoin[R, K]) settleDedup(cfg core.Config) { p.settle(cfg, true, true) }
+
+// settle runs the pending dedups of the chosen sides.
+func (p *eqJoin[R, K]) settle(cfg core.Config, a, b bool) {
+	if a && p.dedupA {
+		p.dedupA = false
+		p.a = dedupData(p.a, &p.inA, p.keyA, p.hash, p.eq, cfg)
+	}
+	if b && p.dedupB {
+		p.dedupB = false
+		p.b = dedupData(p.b, &p.inB, p.keyB, p.hash, p.eq, cfg)
+	}
 }
 
 func (p *eqJoin[R, K]) materialize(cfg core.Config, out *core.Plane[K]) []Joined[R] {
+	p.settleDedup(cfg)
 	joinF := func(l, r R) Joined[R] { return Joined[R]{Left: l, Right: r} }
-	if p.grouped {
+	if p.inA.Grouped && p.inB.Grouped {
 		return rel.JoinGrouped(p.a, p.inA.Bounds, p.b, p.inB.Bounds,
 			p.keyA, p.keyB, p.hash, p.eq, joinF, cfg)
 	}

@@ -1,12 +1,17 @@
 package semisort_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	semisort "repro"
+	"repro/internal/israce"
 )
 
 // Fused pipelines must agree with the hand-composed ops they replace, under
@@ -218,6 +223,328 @@ func TestPipelineDedupJoinTopK(t *testing.T) {
 				JoinEq(tc.b, clickUser).
 				TopK(k)
 			checkTopK(t, got, k, want)
+		})
+	}
+}
+
+// firstPerKey is the map reference of Dedup: each key's first record, in
+// input order.
+func firstPerKey(a []click) []click {
+	seen := make(map[uint64]bool)
+	var out []click
+	for _, c := range a {
+		if !seen[c.User] {
+			seen[c.User] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// checkCounts compares per-key counts with a reference exactly.
+func checkCounts(t *testing.T, what string, got []semisort.KeyCount[uint64], want map[uint64]int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, want %d", what, len(got), len(want))
+	}
+	for _, kc := range got {
+		if w, ok := want[kc.Key]; !ok || w != kc.Count {
+			t.Fatalf("%s: key %d count %d, want %d", what, kc.Key, kc.Count, w)
+		}
+	}
+}
+
+// TestPipelineDedupJoinFold pins the folded Dedup: a pending Dedup feeding
+// a join's counting terminal counts that side by key presence, which must
+// equal the counting join of the deduplicated side exactly — on either join
+// side, over uniform, Zipf 1.2 and all-equal keys and under a constant hash
+// (every key collides in every window), at 1 and 2 workers, plain,
+// stats-armed and ctx-armed. A stats-armed chain must keep the identities:
+// each input record of either side hashed once, and every classified record
+// scattered or absorbed.
+func TestPipelineDedupJoinFold(t *testing.T) {
+	constHash := func(uint64) uint64 { return 42 }
+	cases := []struct {
+		name string
+		a, b []click
+		hash func(uint64) uint64
+	}{
+		{"uniform", pipelineData(40000, 6000, 61), pipelineData(30000, 8000, 62), semisort.Hash64},
+		{"zipf-1.2", pipelineZipf(40000, 63), pipelineZipf(30000, 64), semisort.Hash64},
+		{"all-equal", pipelineData(20000, 1, 65), pipelineData(10000, 1, 66), semisort.Hash64},
+		{"constant-hash", pipelineData(6000, 300, 67), pipelineData(4000, 400, 68), constHash},
+	}
+	for _, tc := range cases {
+		da, db := firstPerKey(tc.a), firstPerKey(tc.b)
+		wantA := joinRef(da, tc.b) // Dedup on the left side
+		wantB := joinRef(tc.a, db) // on the right side
+		wantAB := joinRef(da, db)  // on both
+		distinctA := int64(len(da))
+		for _, workers := range []int{1, 2} {
+			for _, mode := range []string{"plain", "stats", "ctx"} {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", tc.name, workers, mode), func(t *testing.T) {
+					rt := semisort.NewRuntime(workers)
+					defer rt.Close()
+					var st semisort.CallStats
+					query := func(x []click) *semisort.Pipeline[click, uint64] {
+						opts := []semisort.Option{semisort.WithRuntime(rt)}
+						switch mode {
+						case "stats":
+							st = semisort.CallStats{}
+							opts = append(opts, semisort.WithStats(&st))
+						case "ctx":
+							opts = append(opts, semisort.WithContext(context.Background()))
+						}
+						return semisort.Query(x, clickUser, tc.hash, eqID, opts...)
+					}
+					// checkStats checks the identities of the last chain over
+					// inputs of n records in total.
+					checkStats := func(what string, n int) {
+						t.Helper()
+						if mode != "stats" {
+							return
+						}
+						if st.HashCalls != int64(n) {
+							t.Fatalf("%s: HashCalls = %d, want %d (once per input record)", what, st.HashCalls, n)
+						}
+						if st.Scattered+st.Absorbed != st.Classified {
+							t.Fatalf("%s: Scattered %d + Absorbed %d != Classified %d", what, st.Scattered, st.Absorbed, st.Classified)
+						}
+					}
+					must := func(err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					hist, err := query(tc.a).Dedup().JoinEq(tc.b, clickUser).HistogramE()
+					must(err)
+					checkCounts(t, "Dedup.JoinEq.Histogram", hist, wantA)
+					checkStats("Dedup.JoinEq.Histogram", len(tc.a)+len(tc.b))
+
+					const k = 12
+					top, err := query(tc.a).Dedup().JoinEq(tc.b, clickUser).TopKE(k)
+					must(err)
+					checkTopK(t, top, k, wantA)
+					checkStats("Dedup.JoinEq.TopK", len(tc.a)+len(tc.b))
+
+					n, err := query(tc.a).Dedup().JoinEq(tc.b, clickUser).CountDistinctE()
+					must(err)
+					if n != int64(len(wantA)) {
+						t.Fatalf("Dedup.JoinEq.CountDistinct = %d, want %d", n, len(wantA))
+					}
+
+					hist, err = query(tc.a).JoinEqP(query(tc.b).Dedup()).HistogramE()
+					must(err)
+					checkCounts(t, "JoinEqP(Dedup).Histogram", hist, wantB)
+					hist, err = query(tc.a).Dedup().JoinEqP(query(tc.b).Dedup()).HistogramE()
+					must(err)
+					checkCounts(t, "Dedup.JoinEqP(Dedup).Histogram", hist, wantAB)
+
+					n, err = query(tc.a).Dedup().CountDistinctE()
+					must(err)
+					if n != distinctA {
+						t.Fatalf("Dedup.CountDistinct = %d, want %d", n, distinctA)
+					}
+					checkStats("Dedup.CountDistinct", len(tc.a))
+				})
+			}
+		}
+	}
+}
+
+// TestPipelineDedupJoinFoldGrouped pins the fold on grouped sides. Both
+// sides sorted: the group merge counts a pending Dedup's groups once each.
+// One side sorted: the merge cannot run and the sort spent that side's
+// hash plane, so its dedup gathers first (hashing nothing) and the join
+// hashes only its distinct records.
+func TestPipelineDedupJoinFoldGrouped(t *testing.T) {
+	a, b := pipelineZipf(50000, 69), pipelineData(30000, 4000, 70)
+	da := firstPerKey(a)
+	hist := semisort.Query(a, clickUser, semisort.Hash64, eqID).Sort().Dedup().
+		JoinEqP(semisort.Query(b, clickUser, semisort.Hash64, eqID).Sort()).Histogram()
+	checkCounts(t, "Sort.Dedup.JoinEqP(Sort).Histogram", hist, joinRef(da, b))
+	hist = semisort.Query(a, clickUser, semisort.Hash64, eqID).Sort().
+		JoinEqP(semisort.Query(b, clickUser, semisort.Hash64, eqID).Sort().Dedup()).Histogram()
+	checkCounts(t, "Sort.JoinEqP(Sort.Dedup).Histogram", hist, joinRef(a, firstPerKey(b)))
+
+	var calls atomic.Int64
+	countingHash := func(k uint64) uint64 {
+		calls.Add(1)
+		return semisort.Hash64(k)
+	}
+	hist = semisort.Query(a, clickUser, countingHash, eqID).Sort().Dedup().JoinEq(b, clickUser).Histogram()
+	checkCounts(t, "Sort.Dedup.JoinEq.Histogram", hist, joinRef(da, b))
+	if got, want := calls.Load(), int64(len(a)+len(da)+len(b)); got != want {
+		t.Fatalf("Sort.Dedup.JoinEq.Histogram called hash %d times, want %d (sort, distinct records, b)", got, want)
+	}
+}
+
+// TestStrPipelineDedupJoinFold is the fold through QueryStr, which runs the
+// same pipeline over the key arena's span plane, at 1 and 2 workers.
+func TestStrPipelineDedupJoinFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	evs := strCorpus(rng, 40000, 900)
+	dims := strCorpus(rng, 3000, 1200)
+	inA, dimCount := make(map[string]bool), make(map[string]int64)
+	for _, e := range evs {
+		inA[e.URL] = true
+	}
+	for _, d := range dims {
+		dimCount[d.URL]++
+	}
+	want := make(map[string]int64)
+	for u := range inA {
+		if c := dimCount[u]; c > 0 {
+			want[u] = c
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rt := semisort.NewRuntime(workers)
+			defer rt.Close()
+			o := semisort.WithRuntime(rt)
+			hist := semisort.QueryStr(evs, eventURL, o).Dedup().JoinEq(dims, eventURL).Histogram()
+			if len(hist) != len(want) {
+				t.Fatalf("Dedup.JoinEq.Histogram: %d keys, want %d", len(hist), len(want))
+			}
+			for _, kc := range hist {
+				if want[kc.Key] != kc.Count {
+					t.Fatalf("Dedup.JoinEq.Histogram: %q = %d, want %d", kc.Key, kc.Count, want[kc.Key])
+				}
+			}
+			top := semisort.QueryStr(evs, eventURL, o).Dedup().JoinEq(dims, eventURL).TopK(5)
+			for i, kc := range top {
+				if want[kc.Key] != kc.Count || (i > 0 && kc.Count > top[i-1].Count) {
+					t.Fatalf("Dedup.JoinEq.TopK[%d] = %q/%d, want count %d in descending order", i, kc.Key, kc.Count, want[kc.Key])
+				}
+			}
+			if n := semisort.QueryStr(evs, eventURL, o).Dedup().JoinEq(dims, eventURL).CountDistinct(); n != int64(len(want)) {
+				t.Fatalf("Dedup.JoinEq.CountDistinct = %d, want %d", n, len(want))
+			}
+			if n := semisort.QueryStr(evs, eventURL, o).Dedup().CountDistinct(); n != int64(len(inA)) {
+				t.Fatalf("Dedup.CountDistinct = %d, want %d", n, len(inA))
+			}
+		})
+	}
+}
+
+// foldDim is the fold tests' dimension side: n/8 distinct keys 8j+1, as in
+// the benchmark's pipeline op.
+func foldDim(n int) []click {
+	dim := make([]click, n/8)
+	for j := range dim {
+		dim[j] = click{User: uint64(8*j + 1), Seq: j}
+	}
+	return dim
+}
+
+// TestPipelineDedupFoldOneSweep pins that the fold happened: at a size the
+// join solves in one distribution level, the chain classifies each record
+// of either side exactly once — no dedup distributes the clicks ahead of
+// the join — and hashes each once. The folded Dedup runs nothing, so the
+// stage record has no "Dedup" entry.
+func TestPipelineDedupFoldOneSweep(t *testing.T) {
+	a := pipelineData(1<<17, 1<<17, 74)
+	dim := foldDim(len(a))
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			rt := semisort.NewRuntime(procs)
+			defer rt.Close()
+			var s semisort.CallStats
+			p := semisort.Query(a, clickUser, semisort.Hash64, eqID, semisort.WithRuntime(rt), semisort.WithStats(&s)).
+				Dedup().JoinEq(dim, clickUser)
+			if top := p.TopK(10); len(top) != 10 {
+				t.Fatalf("TopK returned %d keys, want 10", len(top))
+			}
+			n := int64(len(a) + len(dim))
+			if s.Classified != n || s.HashCalls != n {
+				t.Fatalf("Classified = %d, HashCalls = %d, want %d each (one sweep over both sides)", s.Classified, s.HashCalls, n)
+			}
+			for _, st := range p.Stats() {
+				if st.Op == "Dedup" {
+					t.Fatalf("stage record %v holds a Dedup entry for a folded dedup", p.Stats())
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineDedupJoinTopKAllocs pins the fold's allocation: with no dedup
+// output to materialize, a warm chain over 2^17 uniform clicks and a 2^14
+// dimension allocates under 3 heap bytes per click (the unfolded chain
+// allocated about 12).
+func TestPipelineDedupJoinTopKAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation bounds are meaningless under -race instrumentation")
+	}
+	a := pipelineData(1<<17, 1<<17, 75)
+	dim := foldDim(len(a))
+	rt := semisort.NewRuntime(2)
+	defer rt.Close()
+	run := func() {
+		semisort.Query(a, clickUser, semisort.Hash64, eqID, semisort.WithRuntime(rt)).
+			Dedup().JoinEq(dim, clickUser).TopK(10)
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	const calls = 8
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / calls / float64(len(a)); per >= 3 {
+		t.Fatalf("warm Dedup.JoinEq.TopK allocates %.2f B per click, want under 3", per)
+	}
+}
+
+// TestPipelineDedupSettles pins the consumers that need the deduplicated
+// records: they run the pending Dedup as a stage of its own, so Run, Sort
+// and a row-materializing join return exactly the rows of the unfused ops
+// over Dedup(a), built from first-occurrence records.
+func TestPipelineDedupSettles(t *testing.T) {
+	pairF := func(l, r click) semisort.Joined[click] { return semisort.Joined[click]{Left: l, Right: r} }
+	b := pipelineData(30000, 12000, 76)
+	for _, tc := range []struct {
+		name string
+		a    []click
+	}{
+		{"uniform", pipelineData(120000, 9000, 77)},
+		{"zipf-1.2", pipelineZipf(120000, 78)},
+		{"all-equal", pipelineData(50000, 1, 79)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first := make(map[uint64]int)
+			for _, c := range firstPerKey(tc.a) {
+				first[c.User] = c.Seq
+			}
+			dd := semisort.Dedup(tc.a, clickUser, semisort.Hash64, eqID)
+			q := func() *semisort.Pipeline[click, uint64] {
+				return semisort.Query(tc.a, clickUser, semisort.Hash64, eqID)
+			}
+			if got := q().Dedup().Run(); !slices.Equal(got, dd) {
+				t.Fatal("Dedup.Run differs from Dedup")
+			}
+			sorted := slices.Clone(dd)
+			semisort.SortEq(sorted, clickUser, semisort.Hash64, eqID)
+			if got := q().Dedup().Sort().Run(); !slices.Equal(got, sorted) {
+				t.Fatal("Dedup.Sort.Run differs from SortEq(Dedup)")
+			}
+			rows := semisort.JoinEq(dd, b, clickUser, clickUser, semisort.Hash64, eqID, pairF)
+			if got := q().Dedup().JoinEq(b, clickUser).Run(); !slices.Equal(got, rows) {
+				t.Fatal("Dedup.JoinEq.Run differs from JoinEq(Dedup)")
+			}
+			if len(rows) == 0 {
+				t.Fatal("Dedup.JoinEq.Run matched nothing")
+			}
+			for _, r := range rows {
+				if first[r.Left.User] != r.Left.Seq {
+					t.Fatalf("joined row keeps seq %d of user %d, want first %d", r.Left.Seq, r.Left.User, first[r.Left.User])
+				}
+			}
 		})
 	}
 }

@@ -160,3 +160,47 @@ func BenchmarkHistogramStrSteadyState(b *testing.B) {
 	}
 	b.ReportMetric(float64(calls*len(data))/b.Elapsed().Seconds()/1e6, "Mrec/s")
 }
+
+// BenchmarkPipelineSteadyState measures the flagship chain,
+// Query(a).Dedup().JoinEq(dim).TopK(10), on a warmed default runtime: 2^17
+// records against a distinct-keyed dimension of 2^14 records (keys 8j+1, as
+// in the benchmark's pipeline op). The Dedup folds into the join's counting
+// terminal, so B/op and allocs/op show what the chain keeps beyond its
+// top-k result. The after-gc row runs a GC, untimed, before each call.
+func BenchmarkPipelineSteadyState(b *testing.B) {
+	const n = 1 << 17
+	key := func(p bench.P64) uint64 { return p.K }
+	eq := func(x, y uint64) bool { return x == y }
+	dim := make([]bench.P64, n/8)
+	for j := range dim {
+		dim[j] = bench.P64{K: uint64(8*j + 1), V: uint64(j)}
+	}
+	for _, c := range []struct {
+		name    string
+		spec    dist.Spec
+		afterGC bool
+	}{
+		{"uniform", dist.Spec{Kind: dist.Uniform, Param: n}, false},
+		{"uniform/after-gc", dist.Spec{Kind: dist.Uniform, Param: n}, true},
+		{"zipf-1.2", dist.Spec{Kind: dist.Zipfian, Param: 1.2}, false},
+	} {
+		data := steadyData(n, c.spec)
+		run := func() { semisort.Query(data, key, semisort.Hash64, eq).Dedup().JoinEq(dim, key).TopK(10) }
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < 3; i++ { // warm the arena before measuring
+				run()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.afterGC {
+					b.StopTimer()
+					runtime.GC()
+					b.StartTimer()
+				}
+				run()
+			}
+			b.ReportMetric(float64(b.N)*float64(len(data)+len(dim))/b.Elapsed().Seconds()/1e6, "Mrec/s")
+		})
+	}
+}

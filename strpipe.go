@@ -99,7 +99,9 @@ func spanCounts(rt *parallel.Runtime, p *strkey.Plane, kv []KeyCount[uint64]) []
 func spanCount(e KeyCount[uint64]) (uint64, int64) { return e.Key, e.Count }
 
 // Dedup keeps one record per distinct key (the key's first record in input
-// order); see Pipeline.Dedup.
+// order). It is deferred to its consumer as in Pipeline.Dedup: a join's
+// counting terminal counts this side by key presence over the Build digests
+// and never runs it.
 func (p *PipelineStr[R]) Dedup() *PipelineStr[R] { p.p.Dedup(); return p }
 
 // Sort groups equal-key records contiguously (semisort=) and carries the
