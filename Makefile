@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race examples loc bench-steady bench bench-stats bench-paper
+.PHONY: all check fmt vet build test race examples loc bench-steady bench bench-check bench-paper
 
 all: check
 
@@ -60,19 +60,19 @@ loc:
 bench-steady:
 	$(GO) test -bench SortEqSteadyState -benchtime 20x -run ^$$ .
 
-## bench: steady-state suite at n=10^7 -> BENCH_steady.json (the perf
-## trajectory each PR appends to; see EXPERIMENTS.md). Fails if any cell
-## regresses more than 25% against the committed trajectory, so `make
-## bench` doubles as the perf smoke gate (the baseline is read before the
-## file is rewritten).
+## bench: run perfbench (BENCHMARK.json's workloads, seed 7919) at 1 worker
+## and at nproc workers, each end to end three times and traced once, and
+## write BENCH_trajectory.json, the committed perf trajectory. Writes
+## nothing if any run fails. About 13 minutes on a 2-CPU host.
 bench:
-	$(GO) run ./cmd/semibench -json BENCH_steady.json -compare BENCH_steady.json -n 10000000
-	$(GO) run ./cmd/semibench -stats -n 1000000 -out BENCH_stats.txt
+	$(GO) run ./cmd/benchtraj write
 
-## bench-stats: per-cell engine counters (levels, volumes, hash/probe/eq)
-## at the full trajectory size — the qualitative companion to `make bench`
-bench-stats:
-	$(GO) run ./cmd/semibench -stats -n 10000000
+## bench-check: rerun the end-to-end passes and compare each metric with
+## BENCH_trajectory.json under BENCHMARK.json's bounds; fails on a metric
+## worse than the committed worst run by more than its bound, or on a
+## failed operation. Never writes the file. About 9 minutes.
+bench-check:
+	$(GO) run ./cmd/benchtraj check
 
 ## bench-paper: representative cells of every table/figure
 bench-paper:

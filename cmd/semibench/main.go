@@ -8,7 +8,9 @@
 //	semibench -exp table3 -n 10000000
 //	semibench -exp table3,fig3a,table4 -n 5000000 -rounds 3
 //	semibench -exp all -out results.txt
-//	semibench -json BENCH_steady.json -n 10000000
+//
+// The repository's performance trajectory is perfbench's, not this
+// command's: see `make bench`.
 package main
 
 import (
@@ -16,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -33,10 +34,6 @@ func main() {
 		seedFlag    = flag.Uint64("seed", 42, "workload generation seed")
 		threadsFlag = flag.String("threads", "", "comma-separated thread counts for scaling experiments")
 		outFlag     = flag.String("out", "", "write results to this file instead of stdout")
-		jsonFlag    = flag.String("json", "", "run the steady-state suite and write it as JSON to this file")
-		compareFlag = flag.String("compare", "", "with -json: fail (exit 1) if any cell regresses vs this baseline JSON")
-		tolFlag     = flag.Float64("tolerance", 25, "allowed Mrec/s drop in percent for -compare")
-		statsFlag   = flag.Bool("stats", false, "run each steady cell once instrumented and print its per-call engine stats table")
 	)
 	flag.Parse()
 
@@ -44,12 +41,8 @@ func main() {
 		bench.List(os.Stdout)
 		return
 	}
-	if *expFlag == "" && *jsonFlag == "" && !*statsFlag {
-		fmt.Fprintln(os.Stderr, "semibench: use -exp <ids>, -json <file>, or -list; e.g. -exp table3")
-		os.Exit(2)
-	}
-	if *compareFlag != "" && *jsonFlag == "" {
-		fmt.Fprintln(os.Stderr, "semibench: -compare only applies to the steady-state suite; pass -json <file> as well")
+	if *expFlag == "" {
+		fmt.Fprintln(os.Stderr, "semibench: use -exp <ids> or -list; e.g. -exp table3")
 		os.Exit(2)
 	}
 
@@ -74,101 +67,6 @@ func main() {
 			}
 			opts.Threads = append(opts.Threads, t)
 		}
-	}
-
-	if *jsonFlag != "" {
-		// Load the baseline before running (and before -json overwrites it:
-		// `make bench` compares against the committed trajectory in place).
-		var baseline bench.SteadyReport
-		haveBaseline := false
-		if *compareFlag != "" {
-			f, err := os.Open(*compareFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "semibench: -compare: %v\n", err)
-				os.Exit(1)
-			}
-			baseline, err = bench.ReadSteadyReport(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "semibench: -compare %s: %v\n", *compareFlag, err)
-				os.Exit(1)
-			}
-			haveBaseline = true
-		}
-		rep := bench.SteadyReportFor(opts)
-		rep.Print(w)
-		// Compare before writing: when -json and -compare name the same
-		// file (make bench), a regressed run must not overwrite the
-		// committed baseline — a rerun would otherwise compare the
-		// regression against itself and pass.
-		var regs []string
-		skipReason := ""
-		if haveBaseline {
-			if !rep.Comparable(baseline) {
-				skipReason = fmt.Sprintf("%d workers differs from baseline's %d; rerun with GOMAXPROCS=%d or regenerate the baseline",
-					rep.GOMAXPROCS, baseline.GOMAXPROCS, baseline.GOMAXPROCS)
-			} else {
-				var matched int
-				regs, matched = rep.Compare(baseline, *tolFlag)
-				// Matching no cell at all (different -n, renamed shapes) is
-				// a skipped gate, not a pass — and must not rewrite the
-				// baseline either.
-				if matched == 0 && len(baseline.Results) > 0 {
-					skipReason = "no baseline cell matches this run's shapes and -n"
-				}
-			}
-		}
-		comparable := skipReason == ""
-		sameFile := false
-		if haveBaseline {
-			a, errA := filepath.Abs(*jsonFlag)
-			b, errB := filepath.Abs(*compareFlag)
-			sameFile = errA == nil && errB == nil && a == b
-		}
-		// A baseline file is only ever replaced by a run that genuinely
-		// passed its own gate: neither a regressed run nor an incomparable
-		// (wrong host shape) one may clobber the committed trajectory.
-		if !sameFile || (comparable && len(regs) == 0) {
-			f, err := os.Create(*jsonFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "semibench: %v\n", err)
-				os.Exit(1)
-			}
-			err = rep.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "semibench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(w, "\n[steady-state suite written to %s]\n", *jsonFlag)
-		}
-		if haveBaseline {
-			switch {
-			case !comparable:
-				fmt.Fprintf(w, "[bench gate skipped vs %s: %s; baseline not rewritten]\n", *compareFlag, skipReason)
-			case len(regs) > 0:
-				fmt.Fprintf(os.Stderr, "semibench: perf regression vs %s (baseline file left untouched):\n", *compareFlag)
-				for _, r := range regs {
-					fmt.Fprintf(os.Stderr, "  %s\n", r)
-				}
-				os.Exit(1)
-			default:
-				fmt.Fprintf(w, "[no cell regressed more than %g%% vs %s]\n", *tolFlag, *compareFlag)
-			}
-		}
-		if *expFlag == "" && !*statsFlag {
-			return
-		}
-	}
-
-	if *statsFlag {
-		bench.StatsTable(w, opts)
-		if *expFlag == "" {
-			return
-		}
-		fmt.Fprintln(w)
 	}
 
 	ids := strings.Split(*expFlag, ",")

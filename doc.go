@@ -191,11 +191,11 @@
 //	reg.Add("ingest", func() any { return s.Metrics() })
 //	mux.Handle("/debug/semisort", reg)
 //
-// SetProfileLabels(true) additionally tags the engine's hot phases with
-// pprof labels (op, phase, level), so CPU profiles split by pipeline
-// phase. See examples/service for the debug surface mounted next to
-// net/http/pprof, and DESIGN.md ("Observability") for counter semantics
-// and snapshot consistency rules.
+// CPU profiles split the engine's time by function (classify, groupEq,
+// absorbLeaf), and pool workers carry the pprof label
+// semisort=pool-worker. See examples/service for the debug surface mounted
+// next to net/http/pprof, and DESIGN.md ("Observability") for counter
+// semantics and snapshot consistency rules.
 //
 // See DESIGN.md for the algorithm internals and the runtime architecture,
 // and EXPERIMENTS.md for the reproduction of the paper's evaluation.

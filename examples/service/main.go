@@ -47,9 +47,9 @@ func main() {
 
 	// The debug surface: Publish registers the runtime under expvar and
 	// returns the JSON registry; Add hangs the stream's gauges off the same
-	// page. Mounted next to net/http/pprof — the engine labels its hot
-	// phases via pprof.Do (semisort.SetProfileLabels), so a CPU profile
-	// scraped from this very mux splits by op and recursion level.
+	// page. Mounted next to net/http/pprof: a CPU profile scraped from this
+	// very mux splits the engine's time by function (classify, groupEq,
+	// absorbLeaf), and the pool workers carry the label semisort=pool-worker.
 	reg := semisort.Publish(rt)
 	reg.Add("ingest", func() any { return ingest.Metrics() })
 	mux := http.NewServeMux()

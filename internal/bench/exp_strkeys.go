@@ -79,16 +79,15 @@ func RunStrKeys(w io.Writer, o Options) {
 			op.old() // warm both paths' pooled state
 			op.new()
 			oldBest, newBest := time.Duration(1<<63-1), time.Duration(1<<63-1)
+			sub := oldBest
 			for r := 0; r < rounds; r++ {
-				if d := timeOnce(op.old); d < oldBest {
-					oldBest = d
-				}
-				if d := timeOnce(op.new); d < newBest {
-					newBest = d
+				oldBest = min(oldBest, timeOnce(op.old))
+				newBest = min(newBest, timeOnce(op.new))
+				if op.overhead != nil {
+					sub = min(sub, timeOnce(op.overhead))
 				}
 			}
 			if op.overhead != nil {
-				sub := measureMin(rounds, op.overhead)
 				if oldBest > sub {
 					oldBest -= sub
 				}

@@ -38,7 +38,6 @@ func Experiments() []Experiment {
 		{ID: "table5", Paper: "Table 5 (n-gram grouping)", Run: RunTable5},
 		{ID: "ablation", Paper: "Section 3.6/4.1 design-choice ablations", Run: RunAblation},
 		{ID: "rel", Paper: "relational ops (dedup/join/count-distinct/top-k) vs naive Go maps", Run: RunRel},
-		{ID: "steady", Paper: "steady-state service suite (perf trajectory; see -json)", Run: RunSteady},
 		{ID: "strkeys", Paper: "string-key engine A/B: generic K=string vs the arena key plane", Run: RunStrKeys},
 	}
 	return exps

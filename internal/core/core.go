@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/hashutil"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -22,11 +21,7 @@ func SortEq[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) b
 	if s == nil {
 		return
 	}
-	if obs.ProfileLabelsOn() {
-		obs.Labeled("sortEq", "", "", func() { s.run(a) })
-	} else {
-		s.run(a)
-	}
+	s.run(a)
 	s.release()
 }
 
@@ -44,11 +39,7 @@ func SortEqHashed[R, K any](a []R, hs []uint64, key func(R) K, hash func(K) uint
 	if s == nil {
 		return
 	}
-	if obs.ProfileLabelsOn() {
-		obs.Labeled("sortEqHashed", "", "", func() { s.runHashed(a, hs) })
-	} else {
-		s.runHashed(a, hs)
-	}
+	s.runHashed(a, hs)
 	s.release()
 }
 
@@ -61,11 +52,7 @@ func SortLess[R, K any](a []R, key func(R) K, hash func(K) uint64, less func(K, 
 	if s == nil {
 		return
 	}
-	if obs.ProfileLabelsOn() {
-		obs.Labeled("sortLess", "", "", func() { s.run(a) })
-	} else {
-		s.run(a)
-	}
+	s.run(a)
 	s.release()
 }
 
@@ -153,7 +140,7 @@ func (s *sorter[R, K]) rec(cur, other []R, hcur, hother []uint64, curIsA, hashed
 		if !hashed && s.less == nil {
 			s.HashAll(cur, hcur) // the semisort= base case consumes the plane
 		}
-		s.base(cur, other, hcur, curIsA, bitDepth)
+		s.base(cur, other, hcur, curIsA)
 		return
 	}
 
@@ -162,8 +149,8 @@ func (s *sorter[R, K]) rec(cur, other []R, hcur, hother []uint64, curIsA, hashed
 	// build instead) plus the level-shape decision — see Driver.PlanLevel.
 	// The level lives in a pooled object, not a stack local: its address
 	// rides into the distribute sweep's worker closures, which would box a
-	// fresh Level at every recursion node (the per-node alloc behind the
-	// old SortEq/exponential outlier in BENCH_steady.json).
+	// fresh Level at every recursion node (a per-node allocation that once
+	// made SortEq on exponential keys the outlier of the allocation counts).
 	lv := parallel.GetObj[Level[K]](s.sc)
 	*lv = s.PlanLevel(cur, hcur, hashed, true, bitDepth, &rng)
 
@@ -250,47 +237,29 @@ func (s *sorter[R, K]) rec(cur, other []R, hcur, hother []uint64, curIsA, hashed
 }
 
 // base solves one bucket sequentially and leaves the result on the A side.
-// bitDepth only labels the leaf for profiling. When the stats plane (or
-// profile labeling) is armed it wraps the body with leaf accounting; the
-// disabled path is one branch.
-func (s *sorter[R, K]) base(cur, other []R, hcur []uint64, curIsA bool, bitDepth int) {
-	if s.sink == nil && !obs.ProfileLabelsOn() {
-		s.baseImpl(cur, other, hcur, curIsA)
-		return
-	}
+// The clock is read only when the stats plane is armed.
+func (s *sorter[R, K]) base(cur, other []R, hcur []uint64, curIsA bool) {
 	var t0 time.Time
 	if s.sink != nil {
 		t0 = time.Now()
 	}
-	if obs.ProfileLabelsOn() {
-		obs.Labeled("", "leaf", obs.LevelLabel(bitDepth), func() {
-			s.baseImpl(cur, other, hcur, curIsA)
-		})
-	} else {
-		s.baseImpl(cur, other, hcur, curIsA)
-	}
-	if s.sink != nil {
-		s.sink.Leaf(len(cur), time.Since(t0).Nanoseconds())
-	}
-}
-
-// baseImpl is the uninstrumented base-case body.
-func (s *sorter[R, K]) baseImpl(cur, other []R, hcur []uint64, curIsA bool) {
-	if len(cur) <= 1 {
+	switch {
+	case len(cur) <= 1:
 		if !curIsA {
 			copy(other, cur)
 		}
-		return
-	}
-	if s.less != nil {
+	case s.less != nil:
 		// semisort<: stable sort in place, then surface to the A side.
 		s.baseLess(cur, other)
 		if !curIsA {
 			copy(other, cur)
 		}
-		return
+	default:
+		// semisort=: one table pass over the cached hashes, landing the
+		// grouped result on the A side (see groupEq).
+		s.groupEq(cur, hcur, other, !curIsA)
 	}
-	// semisort=: one table pass over the cached hashes, landing the grouped
-	// result on the A side (see groupEq).
-	s.groupEq(cur, hcur, other, !curIsA)
+	if s.sink != nil {
+		s.sink.Leaf(len(cur), time.Since(t0).Nanoseconds())
+	}
 }

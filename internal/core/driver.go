@@ -393,37 +393,13 @@ func (d *Driver[R, K]) Adopt(keys []K, hashes []uint64) {
 // the sampling round and leaves rng untouched.
 func (d *Driver[R, K]) PlanLevel(cur []R, hcur []uint64, hashed, allowCollapse bool, bitDepth int, rng *hashutil.RNG) Level[K] {
 	d.CheckCancel()
-	if d.sink == nil && !obs.ProfileLabelsOn() {
-		return d.planLevel(cur, hcur, hashed, allowCollapse, bitDepth, rng)
-	}
 	var t0 time.Time
 	if d.sink != nil {
 		t0 = time.Now()
 	}
-	var lv Level[K]
 	adopted := d.adoptKeys != nil
-	if obs.ProfileLabelsOn() {
-		obs.Labeled("", "plan", obs.LevelLabel(bitDepth), func() {
-			lv = d.planLevel(cur, hcur, hashed, allowCollapse, bitDepth, rng)
-		})
-	} else {
-		lv = d.planLevel(cur, hcur, hashed, allowCollapse, bitDepth, rng)
-	}
-	if d.sink != nil {
-		// len(lv.sampled) is the fused build's fresh hash computations,
-		// memoized into the plane; classify's skip cursor reads them back
-		// instead of re-hashing, so counting them here never double counts.
-		d.sink.Level(lv.Serial, lv.Collapsed, adopted, lv.NH, len(lv.sampled),
-			time.Since(t0).Nanoseconds())
-	}
-	return lv
-}
-
-// planLevel is PlanLevel's body, split out so the instrumented wrapper can
-// time and label it without touching the uninstrumented fast path.
-func (d *Driver[R, K]) planLevel(cur []R, hcur []uint64, hashed, allowCollapse bool, bitDepth int, rng *hashutil.RNG) Level[K] {
 	var lv Level[K]
-	if d.adoptKeys != nil {
+	if adopted {
 		keys, hs := d.adoptKeys, d.adoptHashes
 		d.adoptKeys, d.adoptHashes = nil, nil
 		if !d.disableHeavy && len(keys) > 0 {
@@ -463,6 +439,13 @@ func (d *Driver[R, K]) planLevel(cur []R, hcur []uint64, hashed, allowCollapse b
 	lv.NextBit = bitDepth
 	if !lv.Collapsed {
 		lv.NextBit++ // a real light split consumes one hash window
+	}
+	if d.sink != nil {
+		// len(lv.sampled) is the fused build's fresh hash computations,
+		// memoized into the plane; classify's skip cursor reads them back
+		// instead of re-hashing, so counting them here never double counts.
+		d.sink.Level(lv.Serial, lv.Collapsed, adopted, lv.NH, len(lv.sampled),
+			time.Since(t0).Nanoseconds())
 	}
 	return lv
 }
@@ -666,24 +649,27 @@ func (d *Driver[R, K]) DistributeLevel(lv *Level[K], cur, other []R, hcur, hothe
 func (d *Driver[R, K]) AbsorbLevel(lv *Level[K], cur []R, hcur []uint64,
 	hashed bool, bitDepth int, starts []int,
 	absorb func(sub, hid, j int), dest func(kept int) ([]R, []uint64)) []int {
-	if d.sink == nil && !obs.ProfileLabelsOn() {
-		return d.absorbLevel(lv, cur, hcur, hashed, bitDepth, starts, absorb, dest)
+	n := len(cur)
+	ht, sampled, collapsed := lv.ht, lv.sampled, lv.Collapsed
+	nB := lv.NLight
+	if absorb == nil {
+		nB += lv.NH // the sorter scatters heavy records to final buckets
 	}
 	var t0 time.Time
 	if d.sink != nil {
 		t0 = time.Now()
 	}
 	var out []int
-	if obs.ProfileLabelsOn() {
-		phase := "distribute"
-		if absorb != nil {
-			phase = "absorb"
-		}
-		obs.Labeled("", phase, obs.LevelLabel(bitDepth), func() {
-			out = d.absorbLevel(lv, cur, hcur, hashed, bitDepth, starts, absorb, dest)
-		})
+	if lv.Serial {
+		out = dist.SerialAbsorbInto(d.sc, cur, hcur, nB, lv.NLight,
+			func(ids []uint16, counts []int32) {
+				d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, 0, n, bitDepth, absorb)
+			}, starts, dest)
 	} else {
-		out = d.absorbLevel(lv, cur, hcur, hashed, bitDepth, starts, absorb, dest)
+		out = dist.StableAbsorbInto(d.rt, cur, hcur, nB, d.l, lv.NLight,
+			func(lo, hi int, ids []uint16, counts []int32) {
+				d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, lo, hi, bitDepth, absorb)
+			}, starts, dest)
 	}
 	if d.sink != nil {
 		// Derived once from the prefix array, never counted per record:
@@ -695,27 +681,4 @@ func (d *Driver[R, K]) AbsorbLevel(lv *Level[K], cur []R, hcur []uint64,
 			time.Since(t0).Nanoseconds())
 	}
 	return out
-}
-
-// absorbLevel is AbsorbLevel's body, split out so the instrumented wrapper
-// can time and label it without touching the uninstrumented path.
-func (d *Driver[R, K]) absorbLevel(lv *Level[K], cur []R, hcur []uint64,
-	hashed bool, bitDepth int, starts []int,
-	absorb func(sub, hid, j int), dest func(kept int) ([]R, []uint64)) []int {
-	n := len(cur)
-	ht, sampled, collapsed := lv.ht, lv.sampled, lv.Collapsed
-	nB := lv.NLight
-	if absorb == nil {
-		nB += lv.NH // the sorter scatters heavy records to final buckets
-	}
-	if lv.Serial {
-		return dist.SerialAbsorbInto(d.sc, cur, hcur, nB, lv.NLight,
-			func(ids []uint16, counts []int32) {
-				d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, 0, n, bitDepth, absorb)
-			}, starts, dest)
-	}
-	return dist.StableAbsorbInto(d.rt, cur, hcur, nB, d.l, lv.NLight,
-		func(lo, hi int, ids []uint16, counts []int32) {
-			d.classify(cur, hcur, ids, counts, ht, hashed, collapsed, sampled, lo, hi, bitDepth, absorb)
-		}, starts, dest)
 }

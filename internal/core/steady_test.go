@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/hashutil"
 	"repro/internal/israce"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -24,22 +25,42 @@ func steadyInput(n int) []rec {
 	return in
 }
 
+// TestSortEqSteadyStateAllocs holds distinct keys, Zipf 0.8 keys,
+// exponential keys (mean n/64: a few heavy keys over a long tail of light
+// ones) and 128-bit keys to a near-zero bound.
 func TestSortEqSteadyStateAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	n := 1 << 16
-	in := steadyInput(n)
-	work := make([]rec, n)
-	run := func() {
-		copy(work, in)
-		SortEq(work, keyOf, hashMix, eqU64, Config{})
+	sortEq := func(in []rec) func() {
+		work := make([]rec, n)
+		return func() {
+			copy(work, in)
+			SortEq(work, keyOf, hashMix, eqU64, Config{})
+		}
 	}
-	for i := 0; i < 5; i++ {
-		run() // warm the arena
+	drawn := func(spec dist.Spec) []rec {
+		keys := dist.Keys64(n, spec, 7)
+		in := make([]rec, n)
+		for i := range in {
+			in[i] = rec{key: keys[i], seq: i}
+		}
+		return in
 	}
-	if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
-		t.Fatalf("steady-state SortEq allocates %.0f objects/call, want near-zero (<= 8)", allocs)
+	for name, run := range map[string]func(){
+		"distinct":      sortEq(steadyInput(n)),
+		"zipf-0.8":      sortEq(drawn(dist.Spec{Kind: dist.Zipfian, Param: 0.8})),
+		"exponential":   sortEq(drawn(dist.Spec{Kind: dist.Exponential, Param: 64 / float64(n)})),
+		"u128/uniform":  sortEq128(n, dist.Spec{Kind: dist.Uniform, Param: float64(n)}),
+		"u128/zipf-1.2": sortEq128(n, dist.Spec{Kind: dist.Zipfian, Param: 1.2}),
+	} {
+		for i := 0; i < 5; i++ {
+			run() // warm the arena
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
+			t.Errorf("steady-state SortEq (%s) allocates %.0f objects/call, want near-zero (<= 8)", name, allocs)
+		}
 	}
 }
 
@@ -88,6 +109,27 @@ func TestSortEqSteadyStateAllocsZipf(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, run); allocs > 40 {
 		t.Fatalf("steady-state SortEq (zipfian) allocates %.0f objects/call, want <= 40", allocs)
+	}
+}
+
+// sortEq128 returns a repeated SortEq of n records with 128-bit keys drawn
+// from spec.
+func sortEq128(n int, spec dist.Spec) func() {
+	type rec128 struct {
+		key dist.U128
+		seq int
+	}
+	keys := dist.Keys128(n, spec, 7)
+	in, work := make([]rec128, n), make([]rec128, n)
+	for i := range in {
+		in[i] = rec128{key: keys[i], seq: i}
+	}
+	key := func(r rec128) dist.U128 { return r.key }
+	hash := func(k dist.U128) uint64 { return hashutil.Mix128(k.Hi, k.Lo) }
+	eq := func(a, b dist.U128) bool { return a == b }
+	return func() {
+		copy(work, in)
+		SortEq(work, key, hash, eq, Config{})
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package obs is the engine's zero-dependency observability plane: per-call
 // counter sinks (CallStats / Sink), fixed-bucket log2 histograms (LogHist /
-// AtomicLogHist), an expvar + HTTP snapshot registry (Registry), and gated
-// pprof goroutine labels. It follows the Ledger threading
-// pattern — an optional pointer rides in core.Config, every hot-path touch
-// is branch-on-nil when disabled, and the enabled path is alloc-free in
-// steady state (the Sink is pooled through the runtime arena by its caller;
-// counters are padded atomic shards merged once at call end).
+// AtomicLogHist), and an expvar + HTTP snapshot registry (Registry). It
+// follows the Ledger threading pattern — an optional pointer rides in
+// core.Config, every hot-path touch is branch-on-nil when disabled, and the
+// enabled path is alloc-free in steady state (the Sink is pooled through the
+// runtime arena by its caller; counters are padded atomic shards merged once
+// at call end).
 //
 // The package imports only the standard library, and nothing under
 // internal/ — parallel, core, dist, stream all sit above it, so any engine

@@ -107,19 +107,3 @@ func TestRegistryServesJSONAndExpvar(t *testing.T) {
 		t.Fatalf("expvar snapshot stale: %+v", via)
 	}
 }
-
-func TestProfileLabelsGate(t *testing.T) {
-	prev := SetProfileLabels(true)
-	defer SetProfileLabels(prev)
-	if !ProfileLabelsOn() {
-		t.Fatal("labels should be on")
-	}
-	ran := false
-	Labeled("sortEq", "distribute", LevelLabel(3), func() { ran = true })
-	if !ran {
-		t.Fatal("Labeled did not run f")
-	}
-	if LevelLabel(-1) != "0" || LevelLabel(99) != "32" {
-		t.Fatal("LevelLabel clamping wrong")
-	}
-}

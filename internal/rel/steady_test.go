@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/hashutil"
 	"repro/internal/israce"
 	"repro/internal/obs"
 )
@@ -65,10 +67,47 @@ func TestRelSteadyStateAllocs(t *testing.T) {
 	}, 90)
 	// TopK's histogram materializes the distinct keys internally; the
 	// bound covers that slice, the candidate merge and the result.
+	steadyAllocBound(t, "TopK/uniform", func() {
+		TopK(uni, 10, recKey, hashMix, eqU64, core.Config{})
+	}, 80)
 	steadyAllocBound(t, "TopK/zipf-1.2", func() {
 		TopK(zipf, 10, recKey, hashMix, eqU64, core.Config{})
 	}, 80)
+	// 128-bit keys: wider records and Mix128 through the same engines.
+	uni128, zipf128, bs128 := recs128(uni), recs128(zipf), recs128(bs)
+	pair128 := func(a, b rec128) [2]int32 { return [2]int32{a.seq, b.seq} }
+	steadyAllocBound(t, "Dedup/u128/uniform", func() {
+		Dedup(uni128, rec128Key, hash128, eq128, core.Config{})
+	}, 60)
+	steadyAllocBound(t, "Dedup/u128/zipf-1.2", func() {
+		Dedup(zipf128, rec128Key, hash128, eq128, core.Config{})
+	}, 60)
+	steadyAllocBound(t, "Join/u128/uniform", func() {
+		Join(uni128, bs128, rec128Key, rec128Key, hash128, eq128, pair128, core.Config{})
+	}, 50)
+	steadyAllocBound(t, "Join/u128/zipf-1.2", func() {
+		Join(zipf128, bs128, rec128Key, rec128Key, hash128, eq128, pair128, core.Config{})
+	}, 70)
 }
+
+// rec128 is rec at 128-bit key width: the u64 key widened so both halves
+// vary, with the distribution of the source records.
+type rec128 struct {
+	key dist.U128
+	seq int32
+}
+
+func recs128(a []rec) []rec128 {
+	out := make([]rec128, len(a))
+	for i, r := range a {
+		out[i] = rec128{key: dist.U128{Hi: r.key * 0x9e3779b97f4a7c15, Lo: r.key}, seq: r.seq}
+	}
+	return out
+}
+
+func rec128Key(r rec128) dist.U128 { return r.key }
+func hash128(k dist.U128) uint64   { return hashutil.Mix128(k.Hi, k.Lo) }
+func eq128(a, b dist.U128) bool    { return a == b }
 
 // TestJoinSteadyAllocsSizeIndependent pins the heavy-carry-over log's O(1)
 // steady behavior: the carry log is a chain of pooled fixed-stride pages,

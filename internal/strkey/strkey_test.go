@@ -262,9 +262,18 @@ func TestSteadyAllocsSizeIndependent(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
 	}
+	pair := func(a, b srec) [2]int32 { return [2]int32{a.Seq, b.Seq} }
 	for _, n := range []int{1 << 16, 1 << 18} {
 		a := corpus(n, 900, 16)
 		w := make([]srec, n)
+		// The join's sides: n records over n/4 mostly light keys, and each
+		// of those keys once, so the join recurses to its leaves and emits
+		// n rows.
+		fact := corpus(n, n/4, 18)
+		var dim []srec
+		for k := range refFirst(fact) {
+			dim = append(dim, srec{K: k, Seq: int32(len(dim))})
+		}
 		for name, run := range map[string]func(){
 			"SortEq": func() {
 				copy(w, a)
@@ -274,12 +283,19 @@ func TestSteadyAllocsSizeIndependent(t *testing.T) {
 			"CountDistinct": func() { CountDistinct(a, srecKey, Bytes, core.Config{}) },
 			"Histogram":     func() { Histogram(a, srecKey, Bytes, kvOf, core.Config{}) },
 			"TopK":          func() { TopK(a, 10, srecKey, Bytes, kvOf, core.Config{}) },
+			"JoinEq":        func() { Join(fact, dim, srecKey, srecKey, Bytes, pair, core.Config{}) },
 		} {
 			for i := 0; i < 3; i++ {
 				run() // warm the pools at this size
 			}
-			if got := testing.AllocsPerRun(5, run); got > 40 {
-				t.Errorf("%s at n=%d: %v allocs/op in steady state, want <= 40", name, n, got)
+			// The join also leases probe chunks and emits rows; its bound is
+			// rel's size-independent join bound.
+			bound := 40.0
+			if name == "JoinEq" {
+				bound = 90
+			}
+			if got := testing.AllocsPerRun(5, run); got > bound {
+				t.Errorf("%s at n=%d: %v allocs/op in steady state, want <= %v", name, n, got, bound)
 			}
 		}
 	}

@@ -96,11 +96,3 @@ func Publish(rt *Runtime) *Registry {
 	reg.PublishExpvar("semisort")
 	return reg
 }
-
-// SetProfileLabels toggles pprof goroutine labels on the engine's hot
-// phases: when on, plan/distribute/absorb/leaf sections run under
-// pprof.Do with op/phase/level labels, so CPU profiles split by phase and
-// recursion depth. The gate is global and off by default — labeled sections
-// allocate a small label set per call site, so leave it off unless
-// profiling. Returns the previous setting.
-func SetProfileLabels(on bool) bool { return obs.SetProfileLabels(on) }

@@ -67,9 +67,8 @@ func BenchmarkSortEqSteadyState(b *testing.B) {
 		data := steadyData(c.n, c.spec)
 		b.Run(c.name, func(b *testing.B) { benchSteady(b, data, c.afterGC) })
 	}
-	// The acceptance-tracking cell of the perf trajectory: uniform 64-bit
-	// distinct keys at n=10^7 (also recorded by `make bench` into
-	// BENCH_steady.json).
+	// Uniform 64-bit distinct keys at n=10^7: the repository's only run at
+	// that size. CI runs it once as a smoke; no gate reads its numbers.
 	b.Run("distinct-10M", func(b *testing.B) {
 		n := 10_000_000
 		benchSteady(b, steadyData(n, dist.Spec{Kind: dist.Uniform, Param: float64(n)}), false)
@@ -141,7 +140,7 @@ func BenchmarkDedupStreamSteadyState(b *testing.B) {
 }
 
 // BenchmarkHistogramStrSteadyState measures repeated HistogramStr calls on a
-// warmed default runtime, over the steady gate's string shape: 2^19 records
+// warmed default runtime, over a URL-like string shape: 2^19 records
 // with Zipf 0.8 identities, a 12-byte shared prefix and a 4-28 byte tail.
 // It reports Mrec/s and allocs/op; the output keys cost one allocation per
 // block of emitted keys, not one per distinct key.
