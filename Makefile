@@ -47,14 +47,17 @@ examples:
 
 ## loc: the size numbers every PR reports — non-test and test Go lines
 ## (perfbench/ and dot-directories excluded) and exported funcs/methods in
-## the root package and in internal/dist
+## the root package, internal/dist, internal/core and internal/parallel
 GO_FILES = find . \( -path './.*' -o -path ./perfbench \) -prune -o -name '*.go'
 EXPORTED = grep -h '^func \(([^)]*) \)\?[A-Z]'
+exported = ls $(1) | grep -v '_test\.go$$' | xargs $(EXPORTED) | wc -l
 loc:
-	@echo "non-test Go lines:                    $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
-	@echo "test Go lines:                        $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
-	@echo "exported funcs/methods, root:         $$(ls *.go | grep -v '_test\.go$$' | xargs $(EXPORTED) | wc -l)"
-	@echo "exported funcs/methods, internal/dist: $$(ls internal/dist/*.go | grep -v '_test\.go$$' | xargs $(EXPORTED) | wc -l)"
+	@echo "non-test Go lines:                         $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:                             $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "exported funcs/methods, root:              $$($(call exported,*.go))"
+	@echo "exported funcs/methods, internal/dist:     $$($(call exported,internal/dist/*.go))"
+	@echo "exported funcs/methods, internal/core:     $$($(call exported,internal/core/*.go))"
+	@echo "exported funcs/methods, internal/parallel: $$($(call exported,internal/parallel/*.go))"
 
 ## bench-steady: steady-state allocation benchmark (see EXPERIMENTS.md)
 bench-steady:

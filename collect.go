@@ -33,11 +33,11 @@ func Histogram[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K
 // and the input is untouched (Histogram never modifies it).
 func HistogramE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) (out []KeyCount[K], err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return collect.HistogramAs(a, nil, key, hash, eq, toKeyCount[K], cfg), nil
 }
 
@@ -73,11 +73,11 @@ func CollectReduce[R, K, E any](a []R, key func(R) K, hash func(K) uint64, eq fu
 func CollectReduceE[R, K, E any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool,
 	mapf func(R) E, combine func(E, E) E, id E, opts ...Option) (out []KeyValue[K, E], err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return collect.ReduceAs(a, nil, collect.Reducer[R, K, E]{
 		Key:      key,
 		Hash:     hash,

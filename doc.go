@@ -191,7 +191,7 @@
 //	reg.Add("ingest", func() any { return s.Metrics() })
 //	mux.Handle("/debug/semisort", reg)
 //
-// CPU profiles split the engine's time by function (classify, groupEq,
+// CPU profiles split the engine's time by function (classify, GroupLeaf,
 // absorbLeaf), and pool workers carry the pprof label
 // semisort=pool-worker. See examples/service for the debug surface mounted
 // next to net/http/pprof, and DESIGN.md ("Observability") for counter

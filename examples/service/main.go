@@ -48,7 +48,7 @@ func main() {
 	// The debug surface: Publish registers the runtime under expvar and
 	// returns the JSON registry; Add hangs the stream's gauges off the same
 	// page. Mounted next to net/http/pprof: a CPU profile scraped from this
-	// very mux splits the engine's time by function (classify, groupEq,
+	// very mux splits the engine's time by function (classify, GroupLeaf,
 	// absorbLeaf), and the pool workers carry the label semisort=pool-worker.
 	reg := semisort.Publish(rt)
 	reg.Add("ingest", func() any { return ingest.Metrics() })

@@ -108,52 +108,65 @@ func WithContext(ctx context.Context) Option {
 // enterCall is the root guard every public op and pipeline stage runs
 // under. It admits the call (context-aware, against the runtime's
 // in-flight limit), fails fast on an already-fired context, and installs a
-// pooled lease ledger into cfg. The returned done must be deferred with
-// the caller's named error: on a clean return it settles the ledger
-// (stragglers leak to the GC, never double-pool) and releases admission;
-// on cancellation it converts the engine's cancel panic into ctx.Err();
-// on any other panic it aborts the ledger — discarding every tracked
-// lease — and re-raises as *PanicError.
-func enterCall(cfg *core.Config) (done func(errp *error), err error) {
+// pooled lease ledger into cfg. The caller defers the returned guard's done
+// with its named error; see callGuard.done.
+func enterCall(cfg *core.Config) (callGuard, error) {
 	rt := parallel.Or(cfg.Runtime)
 	slot, err := rt.Acquire(cfg.Ctx)
 	if err != nil {
-		return nil, err
+		return callGuard{}, err
 	}
 	if cfg.Ctx != nil {
 		if err := cfg.Ctx.Err(); err != nil {
 			slot.Release()
-			return nil, err
+			return callGuard{}, err
 		}
 	}
 	lg := parallel.GetLedger(rt.Scratch())
 	cfg.Ledger = lg
-	return func(errp *error) {
-		r := recover()
-		if r == nil {
-			lg.Settle(rt.Scratch())
-			slot.Release()
-			return
-		}
-		// Faulted: discard every tracked lease and retire the ledger (an
-		// aborted ledger is never re-pooled). Admission is released either
-		// way — the call is over: the slot drains the exact channel it was
-		// acquired on, so a concurrent SetInflightLimit swap cannot strand
-		// waiters on the old semaphore.
-		lg.Abort()
-		slot.Release()
-		// Fault metrics are counted here — the public API boundary, once per
-		// faulted call after every sibling worker drained — not per job or
-		// per chunk, so nested jobs and multi-worker aborts never inflate
-		// them (see RuntimeMetrics).
-		if cause := parallel.CancelCause(r); cause != nil {
-			rt.CountCancellation()
-			*errp = cause
-			return
-		}
-		rt.CountContainedPanic()
-		panic(parallel.AsPanicError(r))
-	}, nil
+	return callGuard{rt: rt, slot: slot, lg: lg}, nil
+}
+
+// callGuard is an admitted call: its runtime, admission slot and ledger. A
+// value with a method, not a closure, so entering a call allocates nothing
+// and the caller's named error stays on its stack.
+type callGuard struct {
+	rt   *parallel.Runtime
+	slot parallel.AdmitSlot
+	lg   *parallel.Ledger
+}
+
+// done ends the call. It must be deferred directly (defer call.done(&err)),
+// since recover only works in a directly deferred call: on a clean return
+// it settles the ledger (stragglers leak to the GC, never double-pool) and
+// releases admission; on cancellation it converts the engine's cancel
+// panic into ctx.Err() in *errp; on any other panic it aborts the ledger —
+// discarding every tracked lease — and re-raises as *PanicError.
+func (g callGuard) done(errp *error) {
+	r := recover()
+	if r == nil {
+		g.lg.Settle(g.rt.Scratch())
+		g.slot.Release()
+		return
+	}
+	// Faulted: discard every tracked lease and retire the ledger (an
+	// aborted ledger is never re-pooled). Admission is released either
+	// way — the call is over: the slot drains the exact channel it was
+	// acquired on, so a concurrent SetInflightLimit swap cannot strand
+	// waiters on the old semaphore.
+	g.lg.Abort()
+	g.slot.Release()
+	// Fault metrics are counted here — the public API boundary, once per
+	// faulted call after every sibling worker drained — not per job or
+	// per chunk, so nested jobs and multi-worker aborts never inflate
+	// them (see RuntimeMetrics).
+	if cause := parallel.CancelCause(r); cause != nil {
+		g.rt.CountCancellation()
+		*errp = cause
+		return
+	}
+	g.rt.CountContainedPanic()
+	panic(parallel.AsPanicError(r))
 }
 
 // mustCall backs the error-less wrappers: run the E form, panic on error

@@ -32,11 +32,11 @@ func GroupsEqE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K
 	// The options are resolved once: the config built here drives both the
 	// sort and the boundary scan (core.SortEq applies the defaults).
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	core.SortEq(a, key, hash, eq, cfg)
 	cfg.CheckCancel()
 	return boundaries(parallel.Or(cfg.Runtime), a, key, eq), nil
@@ -53,11 +53,11 @@ func GroupsLess[R, K any](a []R, key func(R) K, hash func(K) uint64, less func(K
 // see GroupsEqE for the contract.
 func GroupsLessE[R, K any](a []R, key func(R) K, hash func(K) uint64, less func(K, K) bool, opts ...Option) (out []Group, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	core.SortLess(a, key, hash, less, cfg)
 	cfg.CheckCancel()
 	eq := func(x, y K) bool { return !less(x, y) && !less(y, x) }

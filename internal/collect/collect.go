@@ -15,8 +15,9 @@
 // are combined afterwards in subarray order, in an association tree that
 // depends on the subarray count alone. Because both steps respect input
 // order, any associative combine function works — commutativity is not
-// required — and the result is identical at any worker count. Its leaf is
-// an open-addressing combine table over the bucket's cached hashes.
+// required — and the result is identical at any worker count. Its leaf
+// folds the groups of the driver's grouping pass (core.Driver.GroupLeaf)
+// over the bucket's cached hashes.
 //
 // All transient state (the top-level hash plane, the survivor buffers, the
 // id planes and counting matrices, heavy accumulators, base-case tables,
@@ -87,7 +88,6 @@ func reduce[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core
 	d := core.NewDriver(len(a), rd.Key, rd.Hash, rd.Eq, cfg)
 	sc := d.Scratch()
 	s := parallel.GetObj[reducer[R, K, E]](sc)
-	rd.Eq = d.Eq() // counted under the eq-count contract when armed
 	s.Reducer = rd
 	s.d = d
 	s.countOnly = countOnly
@@ -101,8 +101,8 @@ func reduce[R, K, E any](a []R, in *core.Plane[K], rd Reducer[R, K, E], cfg core
 // Histogram counts the occurrences of each key of a (collect-reduce with
 // the constant map 1 and the (+, 0) monoid; Section 2.1). Because the
 // monoid is the package's own, the reducer runs in count-only mode: heavy
-// absorption and the leaf tables increment int64 counters directly instead
-// of paying two indirect calls (Map, Combine) per record.
+// absorption increments int64 counters directly and leaves emit their group
+// sizes, instead of paying two indirect calls (Map, Combine) per record.
 func Histogram[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, cfg core.Config) []KV[K, int64] {
 	return HistogramPlane(a, nil, key, hash, eq, cfg)
 }
@@ -246,61 +246,36 @@ func (s *reducer[R, K, E]) Emit(lv *core.Level[K], cur []R, hAccBuf *parallel.Bu
 	return own, nil
 }
 
-// Leaf reduces one cache-resident bucket sequentially with a hash table
-// that combines values in place, consuming the cached hash plane (the user
-// hash is never re-run here). Keys are emitted into a pooled chunk in
-// first-appearance order, values combined in record order.
+// Leaf reduces one cache-resident bucket from the driver's grouping pass
+// over its cached hashes (the user hash is never re-run here): one KV per
+// group, in first-appearance order, keyed by the group's first record, its
+// value an in-order fold of the group's records.
 func (s *reducer[R, K, E]) Leaf(cur []R, hcur []uint64) (*parallel.Buf[KV[K, E]], *parallel.Buf[uint64]) {
-	n := len(cur)
 	sc := s.d.Scratch()
-	t := core.GetLeafTable(sc, n)
-	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
-	own := parallel.GetBuf[KV[K, E]](sc, n)
-	out := own.S[:0]
+	g := s.d.GroupLeaf(cur, hcur)
+	own := parallel.GetBuf[KV[K, E]](sc, len(cur))
+	out := own.S[:g.N]
 	if s.countOnly {
-		// Histogram: the emitted values are int64 counts over the same
-		// underlying chunk (the assertion shares the array; appends stay
-		// within its n-record capacity) — insert 1, increment on a match,
-		// no monoid calls per record.
+		// Histogram: the values are int64 counts over the same chunk (the
+		// assertion shares the array), so no monoid call runs per record.
 		cout := any(out).([]KV[K, int64])
-		for idx := 0; idx < n; idx++ {
-			h := hcur[idx]
-			i := t.Home(h)
-			for {
-				si := slots[i]
-				if si < 0 {
-					t.Claim(i, int32(len(cout)), h)
-					cout = append(cout, KV[K, int64]{Key: s.Key(cur[idx]), Value: 1})
-					break
-				}
-				if hashes[i] == h && s.Eq(cout[si].Key, s.Key(cur[idx])) {
-					cout[si].Value++
-					break
-				}
-				i = (i + 1) & mask
-			}
+		for x, f := range g.First {
+			cout[x] = KV[K, int64]{Key: s.Key(cur[f])}
 		}
-		out = any(cout).([]KV[K, E])
+		for _, x := range g.Gid {
+			cout[x].Value++
+		}
 	} else {
-		for idx := 0; idx < n; idx++ {
-			h := hcur[idx]
-			i := t.Home(h)
-			for {
-				si := slots[i]
-				if si < 0 {
-					t.Claim(i, int32(len(out)), h)
-					out = append(out, KV[K, E]{Key: s.Key(cur[idx]), Value: s.Combine(s.Identity, s.Map(cur[idx]))})
-					break
-				}
-				if hashes[i] == h && s.Eq(out[si].Key, s.Key(cur[idx])) {
-					out[si].Value = s.Combine(out[si].Value, s.Map(cur[idx]))
-					break
-				}
-				i = (i + 1) & mask
-			}
+		// Locals: the fields would be re-read through s after every call.
+		key, mapf, combine := s.Key, s.Map, s.Combine
+		for x, f := range g.First {
+			out[x] = KV[K, E]{Key: key(cur[f]), Value: s.Identity}
+		}
+		for i, x := range g.Gid {
+			out[x].Value = combine(out[x].Value, mapf(cur[i]))
 		}
 	}
-	t.Release(sc)
+	g.Release(sc)
 	own.S = out
 	return own, nil
 }

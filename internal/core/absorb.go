@@ -47,7 +47,7 @@ type AbsorbOp[R, K, T, L any] interface {
 // d stays the caller's to release.
 func Absorb[R, K, T, L any](d *Driver[R, K], a []R, in *Plane[K], op AbsorbOp[R, K, T, L]) *Node[T] {
 	if in != nil && in.HeavyKeys != nil {
-		d.Adopt(in.HeavyKeys, in.HeavyHashes)
+		d.adopt(in.HeavyKeys, in.HeavyHashes)
 	}
 	hs, hb, hashed := d.HashPlane(in, len(a))
 	root := absorbRec(d, op, a, hs, hashed, 0, 0, hashutil.NewRNG(d.seed))

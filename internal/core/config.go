@@ -8,11 +8,11 @@ package core
 
 import (
 	"context"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/sampling"
 )
 
 // Config holds the tunable parameters of Section 3.6. The zero value
@@ -139,7 +139,7 @@ func (c Config) WithDefaults() Config {
 	if c.LightBuckets <= 0 {
 		c.LightBuckets = 1 << 10
 	}
-	c.LightBuckets = ceilPow2(c.LightBuckets)
+	c.LightBuckets = sampling.CeilPow2(c.LightBuckets)
 	if c.LightBuckets > 1<<15 {
 		c.LightBuckets = 1 << 15
 	}
@@ -162,21 +162,4 @@ func (c Config) WithDefaults() Config {
 		c.MaxDepth = 24
 	}
 	return c
-}
-
-// ceilPow2 returns the smallest power of two >= x (x >= 1).
-func ceilPow2(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return 1 << (bits.Len(uint(x - 1)))
-}
-
-// ceilLog2 returns ceil(log2(x)) for x >= 1, and 1 for smaller x so sample
-// sizes and thresholds stay positive.
-func ceilLog2(x int) int {
-	if x <= 2 {
-		return 1
-	}
-	return bits.Len(uint(x - 1))
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sampling"
+)
 
 func TestWithDefaultsPaperParameters(t *testing.T) {
 	c := Config{}.WithDefaults()
@@ -39,11 +43,14 @@ func TestWithDefaultsPreservesExplicit(t *testing.T) {
 	}
 }
 
+// TestCeilPow2 and TestCeilLog2 pin the sampling helpers core sizes with:
+// WithDefaults rounds n_L up with CeilPow2, and the driver's window width
+// and sample sizes come from CeilLog2.
 func TestCeilPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
-		if got := ceilPow2(in); got != want {
-			t.Fatalf("ceilPow2(%d)=%d want %d", in, got, want)
+		if got := sampling.CeilPow2(in); got != want {
+			t.Fatalf("CeilPow2(%d)=%d want %d", in, got, want)
 		}
 	}
 }
@@ -51,8 +58,8 @@ func TestCeilPow2(t *testing.T) {
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
 	for in, want := range cases {
-		if got := ceilLog2(in); got != want {
-			t.Fatalf("ceilLog2(%d)=%d want %d", in, got, want)
+		if got := sampling.CeilLog2(in); got != want {
+			t.Fatalf("CeilLog2(%d)=%d want %d", in, got, want)
 		}
 	}
 }

@@ -173,7 +173,7 @@ func (s *sorter[R, K]) rec(cur, other []R, hcur, hother []uint64, curIsA, hashed
 	// harmless — a prefix array is plain dirty content, exactly what the
 	// arena contract permits a pool to hold.
 	startsBuf := parallel.LeaseBuf[int](s.sc, s.ledger, nB+1)
-	starts := s.DistributeLevel(lv, cur, other, hcur, hother, hashed, bitDepth, startsBuf.S)
+	starts := s.distributeLevel(lv, cur, other, hcur, hother, hashed, bitDepth, startsBuf.S)
 	lv.ReleaseSample()
 	// The id plane has absorbed every classification; the table's storage
 	// feeds the next level's build.

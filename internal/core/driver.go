@@ -20,16 +20,17 @@ import (
 // framework). A Driver owns the user closures, the level-shape parameters
 // and the runtime handles, and exposes the per-level pipeline —
 //
-//	PlanLevel       sampling + the skew-collapse decision + level shape
-//	DistributeLevel the fused classify sweep (hash-once, single heavy
-//	                probe, light-id extraction) feeding the id-plane
-//	                distribution engines, with the hash plane carried
+//	PlanLevel   sampling + the skew-collapse decision + level shape
+//	AbsorbLevel the fused classify sweep (hash-once, single heavy probe,
+//	            light-id extraction) feeding the id-plane distribution
+//	            engines, with the hash plane carried
+//	GroupLeaf   the hash-table base case's grouping pass (leaf.go)
 //
 // — to a terminal op that decides what a level *means*: the sorter's
 // terminal op scatters heavy records to final buckets and groups light
 // buckets in base cases; collect-reduce's terminal op absorbs heavy records
 // during the sweep (reducing their mapped values per subarray, never moving
-// them) and combines light buckets in hash tables. Every engine improvement
+// them) and folds each leaf's groups. Every engine improvement
 // to the driver — sample memoization, collapse, bounds-check-free windows,
 // pooled heavy tables — serves all three problems at once.
 
@@ -45,9 +46,6 @@ const collapsePercent = 75
 // parallel tasks. It roughly matches the L2 cache in records, so serial
 // subtrees are also the cache-resident ones.
 const SerialCutoff = 1 << 16
-
-// serialCutoff is the historical package-local name.
-const serialCutoff = SerialCutoff
 
 // Driver carries the immutable per-call state shared by every problem built
 // on the distribution framework. Instances are recycled through the
@@ -79,7 +77,7 @@ type Driver[R, K any] struct {
 	recBytes int64
 
 	// adoptKeys/adoptHashes, when non-nil, are a pipeline plane's carried
-	// heavy keys (see Adopt): the next PlanLevel builds its heavy table from
+	// heavy keys (see adopt): the next PlanLevel builds its heavy table from
 	// them directly and skips the sampling round.
 	adoptKeys   []K
 	adoptHashes []uint64
@@ -181,7 +179,7 @@ func (d *Driver[R, K]) init(n int, key func(R) K, hash func(K) uint64, eq func(K
 	}
 	// nL is a power of two (enforced by Config.WithDefaults), so light
 	// bucket ids are exact hash-bit windows.
-	d.bBits = uint(ceilLog2(d.nL))
+	d.bBits = uint(sampling.CeilLog2(d.nL))
 	d.l = (n + cfg.MaxSubarrays - 1) / cfg.MaxSubarrays
 	if d.l < cfg.MinSubarray {
 		d.l = cfg.MinSubarray
@@ -234,10 +232,11 @@ func (d *Driver[R, K]) StatLeaf(records int, ns int64) {
 }
 
 // Eq is the call's key-equality closure — the user's eq, wrapped by the
-// eq-counter when Config.WithEqCounter armed one. Terminal ops that keep
-// their own copy of eq (the relational base cases, collect's combine
-// tables) must read it from here rather than from the raw user argument,
-// so their digest-gated fallthroughs are counted under the same contract.
+// eq-counter when Config.WithEqCounter armed one (or by the stats plane).
+// Terminal ops that run eq outside the driver (the join leaves' chained
+// build and lookup, the grouped join's group match) must read it from here
+// rather than from the raw user argument, so their digest-gated
+// fallthroughs are counted under the same contract.
 func (d *Driver[R, K]) Eq() func(K, K) bool { return d.eq }
 
 // Alpha is the base-case threshold (records per sequentially solved bucket).
@@ -254,9 +253,6 @@ func (d *Driver[R, K]) Runtime() *parallel.Runtime { return d.rt }
 
 // Scratch is the runtime's buffer arena.
 func (d *Driver[R, K]) Scratch() *parallel.Scratch { return d.sc }
-
-// Ledger is the call's lease ledger (nil when the caller installed none).
-func (d *Driver[R, K]) Ledger() *parallel.Ledger { return d.ledger }
 
 // Cancelable reports whether the call carries a context at all, so hot
 // loops can hoist the nil check out of their bodies and keep the no-context
@@ -290,7 +286,7 @@ func (d *Driver[R, K]) CheckCancel() {
 // case, which is where skewed inputs spend their time). Deeper, smaller
 // levels draw proportionally smaller samples.
 func (d *Driver[R, K]) sampleParams(n int) sampling.Params {
-	logN := ceilLog2(n)
+	logN := sampling.CeilLog2(n)
 	thresh := logN / 2
 	if thresh < 2 {
 		thresh = 2
@@ -373,14 +369,14 @@ type Level[K any] struct {
 	NextBit int
 }
 
-// Adopt hands the driver a pipeline plane's carried heavy keys (with their
+// adopt hands the driver a pipeline plane's carried heavy keys (with their
 // user hashes, in the producer's bucket-id order): the next PlanLevel —
 // the consumer's top level — builds its heavy table directly from them and
 // skips the sampling round entirely. The adopted set is consumed once;
 // deeper levels sample normally. An adopted level never collapses (collapse
 // needs the sample's heavy-mass estimate, which adoption does not have).
 // Call between NewDriver and the first PlanLevel.
-func (d *Driver[R, K]) Adopt(keys []K, hashes []uint64) {
+func (d *Driver[R, K]) adopt(keys []K, hashes []uint64) {
 	d.adoptKeys, d.adoptHashes = keys, hashes
 }
 
@@ -389,7 +385,7 @@ func (d *Driver[R, K]) Adopt(keys []K, hashes []uint64) {
 // only at the top level, which samples through the memoizing fused build so
 // the whole call stays at exactly one user hash per record); allowCollapse
 // gates the skew collapse (the in-place sorter declines it). rng is
-// advanced by the sampling draws. An adopted heavy set (see Adopt) replaces
+// advanced by the sampling draws. An adopted heavy set (see adopt) replaces
 // the sampling round and leaves rng untouched.
 func (d *Driver[R, K]) PlanLevel(cur []R, hcur []uint64, hashed, allowCollapse bool, bitDepth int, rng *hashutil.RNG) Level[K] {
 	d.CheckCancel()
@@ -622,13 +618,13 @@ func (d *Driver[R, K]) classify(cur []R, hcur []uint64, ids []uint16, counts []i
 	}
 }
 
-// DistributeLevel runs the sorter's Blocked Distributing step (cur ->
+// distributeLevel runs the sorter's Blocked Distributing step (cur ->
 // other, hcur -> hother) through the id plane: AbsorbLevel with no absorb
 // sink. All NLight+NH buckets are scattered — starts must have NLight+NH+1
 // entries; bucket j occupies other[starts[j]:starts[j+1]] afterwards — and
 // the hash plane is carried for light buckets only (heavy buckets are final
 // and never re-read their hashes: the hLive dead suffix).
-func (d *Driver[R, K]) DistributeLevel(lv *Level[K], cur, other []R, hcur, hother []uint64,
+func (d *Driver[R, K]) distributeLevel(lv *Level[K], cur, other []R, hcur, hother []uint64,
 	hashed bool, bitDepth int, starts []int) []int {
 	return d.AbsorbLevel(lv, cur, hcur, hashed, bitDepth, starts, nil,
 		func(int) ([]R, []uint64) { return other, hother })
@@ -645,7 +641,7 @@ func (d *Driver[R, K]) DistributeLevel(lv *Level[K], cur, other []R, hcur, hothe
 // supplies the right-sized destination once the survivor count is exact
 // (see dist.StableAbsorbInto): under heavy skew the level's scatter buffer
 // is O(survivors), not O(n). With a nil sink every record is scattered (see
-// DistributeLevel).
+// distributeLevel).
 func (d *Driver[R, K]) AbsorbLevel(lv *Level[K], cur []R, hcur []uint64,
 	hashed bool, bitDepth int, starts []int,
 	absorb func(sub, hid, j int), dest func(kept int) ([]R, []uint64)) []int {

@@ -26,7 +26,7 @@ func TestSortEqClosuresOncePerRecord(t *testing.T) {
 	// Distinct keys: hashMix (splitmix64) is a bijection, so distinct keys
 	// have distinct full 64-bit hashes and neither eq nor any lazy key
 	// extraction ever fires — both closures must run exactly n times.
-	// n > serialCutoff so the parallel counting+scatter path runs too.
+	// n > SerialCutoff so the parallel counting+scatter path runs too.
 	n := (1 << 16) + (1 << 14)
 	in := steadyInput(n)
 	work := append([]rec(nil), in...)
@@ -86,8 +86,8 @@ func TestHeavyProbeAtMostOncePerRecordPerLevel(t *testing.T) {
 		name string
 		n    int
 	}{
-		{"parallel", (1 << 16) + (1 << 14)}, // above serialCutoff
-		{"serial", 1 << 15},                 // below serialCutoff
+		{"parallel", (1 << 16) + (1 << 14)}, // above SerialCutoff
+		{"serial", 1 << 15},                 // below SerialCutoff
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := make([]rec, tc.n)

@@ -129,7 +129,7 @@ func (s *sorter[R, K]) inPlaceRec(a []R, hs []uint64, hashed bool, depth, bitDep
 	for b := 0; b < nB; b++ {
 		end := starts[b+1]
 		for heads[b] < end {
-			if placed >= serialCutoff {
+			if placed >= SerialCutoff {
 				placed = 0
 				s.CheckCancel()
 			}
@@ -147,7 +147,7 @@ func (s *sorter[R, K]) inPlaceRec(a []R, hs []uint64, hashed bool, depth, bitDep
 				hs[j], hv = hv, hs[j]
 				ids[j], vid = vid, ids[j]
 				placed++
-				if placed >= serialCutoff {
+				if placed >= SerialCutoff {
 					placed = 0
 					if s.ctx != nil && s.ctx.Err() != nil {
 						a[i], hs[i], ids[i] = v, hv, vid
@@ -189,7 +189,7 @@ func (s *sorter[R, K]) countBuckets(a []R, hs []uint64, ids []uint16, counts []i
 	n, nB := len(a), len(counts)
 	ht, sampled := lv.ht, lv.sampled
 	clear(counts)
-	if n <= serialCutoff {
+	if n <= SerialCutoff {
 		s.classify(a, hs, ids, counts, ht, hashed, false, sampled, 0, n, bitDepth, nil)
 		return
 	}

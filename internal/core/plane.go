@@ -11,7 +11,7 @@ import "repro/internal/parallel"
 //     hashed=true: no sampling-round hashing, no classify-sweep hashing —
 //     the user hash closure is never called again for these records.
 //   - HeavyKeys/HeavyHashes carry the producer's level-0 heavy keys. A
-//     consumer adopts them as its own level-0 heavy table (Driver.Adopt):
+//     consumer adopts them as its own level-0 heavy table (Driver.adopt):
 //     PlanLevel then skips the sampling round entirely, because keys that
 //     were frequent in the producer's input are the only candidates for
 //     being frequent in its output. Every carried key occurs in the

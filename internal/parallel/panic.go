@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
 
 // Fault containment. A panic in a loop body used to be an unrecoverable
@@ -84,13 +83,4 @@ func CancelCause(r any) error {
 		}
 	}
 	return nil
-}
-
-// catchInto records the current panic, if any, as the first panic of a
-// fork-join group. It must be deferred directly (recover only works in a
-// directly deferred function).
-func catchInto(pan *atomic.Pointer[PanicError]) {
-	if r := recover(); r != nil {
-		pan.CompareAndSwap(nil, AsPanicError(r))
-	}
 }

@@ -2,7 +2,7 @@
 // a persistent worker-pool Runtime with chunk-stealing parallel loops, a
 // Scratch buffer arena for allocation-free steady-state kernels, and the
 // work-span-style primitives of the paper (parallel_for over index ranges,
-// parallel reduce, exclusive scan). All primitives are deterministic in
+// parallel reduce, pack). All primitives are deterministic in
 // their results: parallelism only affects scheduling, never output values.
 //
 // The package-level functions run on the shared Default runtime; kernels
@@ -30,10 +30,6 @@ func SetWorkers(n int) int {
 	}
 	return runtime.GOMAXPROCS(n)
 }
-
-// Do runs the given functions in parallel on the default runtime and waits
-// for all of them.
-func Do(fns ...func()) { Default().Do(fns...) }
 
 // For runs body(i) for every i in [0, n) in parallel on the default runtime.
 func For(n, grain int, body func(i int)) { Default().For(n, grain, body) }
@@ -98,12 +94,6 @@ func ReduceIn[T any](rt *Runtime, n, grain int, id T, mapf func(i int) T, comb f
 	partials.Zero() // drop references held by pooled partials
 	partials.Release()
 	return total
-}
-
-// MapInto fills dst[i] = f(i) for all i in parallel. dst and the domain of f
-// must have the same length.
-func MapInto[T any](dst []T, f func(i int) T) {
-	For(len(dst), 0, func(i int) { dst[i] = f(i) })
 }
 
 // Copy copies src into dst in parallel on the default runtime. Slices must

@@ -108,42 +108,6 @@ func TestReduceNonCommutative(t *testing.T) {
 	}
 }
 
-func TestScanExclusive(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 100, scanSeqThreshold - 1, scanSeqThreshold, scanSeqThreshold*3 + 17} {
-		a := make([]int64, n)
-		want := make([]int64, n)
-		var sum int64
-		for i := range a {
-			a[i] = int64(i%13 - 3)
-			want[i] = sum
-			sum += a[i]
-		}
-		total := ScanExclusive(a)
-		if total != sum {
-			t.Fatalf("n=%d: total %d want %d", n, total, sum)
-		}
-		for i := range a {
-			if a[i] != want[i] {
-				t.Fatalf("n=%d: scan[%d]=%d want %d", n, i, a[i], want[i])
-			}
-		}
-	}
-}
-
-func TestScanInclusive(t *testing.T) {
-	a := []int{1, 2, 3, 4, 5}
-	total := ScanInclusive(a)
-	want := []int{1, 3, 6, 10, 15}
-	if total != 15 {
-		t.Fatalf("total %d want 15", total)
-	}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("scan[%d]=%d want %d", i, a[i], want[i])
-		}
-	}
-}
-
 func TestPack(t *testing.T) {
 	f := func(raw []int32) bool {
 		keep := func(i int) bool { return raw[i]%3 == 0 }
@@ -169,19 +133,6 @@ func TestPack(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b, c int32
-	Do(
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-		func() { atomic.StoreInt32(&c, 3) },
-	)
-	if a != 1 || b != 2 || c != 3 {
-		t.Fatalf("Do skipped a function: %d %d %d", a, b, c)
-	}
-	Do() // must not hang or panic
-}
-
 func TestCopyParallel(t *testing.T) {
 	src := make([]uint64, 300000)
 	for i := range src {
@@ -192,16 +143,6 @@ func TestCopyParallel(t *testing.T) {
 	for i := range src {
 		if dst[i] != src[i] {
 			t.Fatalf("copy mismatch at %d", i)
-		}
-	}
-}
-
-func TestMapInto(t *testing.T) {
-	dst := make([]int, 5000)
-	MapInto(dst, func(i int) int { return i * i })
-	for i := range dst {
-		if dst[i] != i*i {
-			t.Fatalf("MapInto[%d]=%d", i, dst[i])
 		}
 	}
 }

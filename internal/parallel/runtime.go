@@ -368,41 +368,6 @@ func (rt *Runtime) ForRangeW(n, grain int, body func(w, lo, hi int)) {
 	rt.run(j)
 }
 
-// Do runs the given functions concurrently and waits for all of them. It is
-// the k-ary fork primitive of the work-span model: unlike the loop
-// primitives (which may run chunks sequentially on the caller when the pool
-// is busy), Do guarantees every function gets its own goroutine, so
-// functions that synchronize with each other cannot deadlock. A panic in
-// any function is recorded, the others run to completion, and the first
-// panic is re-raised on the caller as a *PanicError.
-func (rt *Runtime) Do(fns ...func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
-		return
-	}
-	var pan atomic.Pointer[PanicError]
-	var wg sync.WaitGroup
-	wg.Add(len(fns) - 1)
-	for _, fn := range fns[1:] {
-		go func() {
-			defer wg.Done()
-			defer catchInto(&pan)
-			fn()
-		}()
-	}
-	func() {
-		defer catchInto(&pan)
-		fns[0]()
-	}()
-	wg.Wait()
-	if pe := pan.Load(); pe != nil {
-		panic(pe)
-	}
-}
-
 // SetInflightLimit bounds how many engine calls the runtime admits
 // concurrently: public op entry points and pipeline stages Acquire an
 // admission slot before doing any work and Release it when they return, so

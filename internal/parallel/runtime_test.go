@@ -107,41 +107,6 @@ func TestRuntimeReduceDeterministicNonCommutative(t *testing.T) {
 	}
 }
 
-func TestRuntimeDoRunsAll(t *testing.T) {
-	rt := NewRuntime(4)
-	var a, b, c atomic.Int32
-	rt.Do(
-		func() { a.Store(1) },
-		func() { b.Store(2) },
-		func() { c.Store(3) },
-	)
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Fatal("Do skipped a function")
-	}
-	rt.Do() // must not hang or panic
-}
-
-func TestRuntimeDoIsConcurrentEvenWithoutPool(t *testing.T) {
-	// Do is the fork primitive: functions that synchronize with each other
-	// must not deadlock even when the runtime has no pool workers (the
-	// loop primitives may serialize; Do must not).
-	rt := NewRuntime(1)
-	done := make(chan struct{})
-	ch := make(chan int) // unbuffered: requires both fns to be live at once
-	go func() {
-		rt.Do(
-			func() { ch <- 1 },
-			func() { <-ch },
-		)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-timeout():
-		t.Fatal("Do deadlocked on synchronizing functions")
-	}
-}
-
 // timeout is the deadlock checks' generous bound, only hit on deadlock. It
 // is a timer rather than a sleeping goroutine: such a goroutine outlives its
 // test and exits seconds later, inside whichever test is counting

@@ -1,77 +1,5 @@
 package parallel
 
-// Integer is the constraint for scan/pack index arithmetic.
-type Integer interface {
-	~int | ~int32 | ~int64 | ~uint32 | ~uint64
-}
-
-// scanSeqThreshold is the size below which an exclusive scan runs
-// sequentially; a two-pass parallel scan only pays off for large arrays.
-const scanSeqThreshold = 1 << 15
-
-// ScanExclusive replaces a with its exclusive prefix sums and returns the
-// total. a[i] becomes a[0]+...+a[i-1]; the return value is the full sum.
-func ScanExclusive[T Integer](a []T) T { return ScanExclusiveIn(Default(), a) }
-
-// ScanExclusiveIn is ScanExclusive on an explicit runtime; the per-block
-// partial sums come from the runtime's arena.
-func ScanExclusiveIn[T Integer](rt *Runtime, a []T) T {
-	n := len(a)
-	if n < scanSeqThreshold {
-		var sum T
-		for i := range a {
-			v := a[i]
-			a[i] = sum
-			sum += v
-		}
-		return sum
-	}
-	rt = resolve(rt)
-	nBlocks := 4 * Workers()
-	if nBlocks > n {
-		nBlocks = n
-	}
-	sums := GetBuf[T](rt.Scratch(), nBlocks)
-	rt.Blocks(n, nBlocks, func(b, lo, hi int) {
-		var s T
-		for i := lo; i < hi; i++ {
-			s += a[i]
-		}
-		sums.S[b] = s
-	})
-	var total T
-	for b := range sums.S {
-		v := sums.S[b]
-		sums.S[b] = total
-		total += v
-	}
-	rt.Blocks(n, nBlocks, func(b, lo, hi int) {
-		s := sums.S[b]
-		for i := lo; i < hi; i++ {
-			v := a[i]
-			a[i] = s
-			s += v
-		}
-	})
-	sums.Release()
-	return total
-}
-
-// ScanInclusive replaces a with its inclusive prefix sums and returns the
-// total (equal to the final element for non-empty input).
-func ScanInclusive[T Integer](a []T) T {
-	total := ScanExclusive(a)
-	n := len(a)
-	For(n, 0, func(i int) {
-		if i+1 < n {
-			a[i] = a[i+1]
-		} else {
-			a[i] = total
-		}
-	})
-	return total
-}
-
 // Pack copies the elements of src whose flag is true into a fresh slice,
 // preserving order. It is the standard parallel filter primitive.
 func Pack[T any](src []T, keep func(i int) bool) []T {
@@ -84,21 +12,16 @@ func PackIn[T any](rt *Runtime, src []T, keep func(i int) bool) []T {
 	return packTo(rt, len(src), keep, func(out []T, w, i int) { out[w] = src[i] })
 }
 
-// PackIndex returns the indices i in [0, n) for which keep(i) is true, in
+// PackIndexIn returns the indices i in [0, n) for which keep(i) is true, in
 // increasing order (the filter primitive when the payload *is* the index).
-func PackIndex(n int, keep func(i int) bool) []int {
-	return PackIndexIn(Default(), n, keep)
-}
-
-// PackIndexIn is PackIndex on an explicit runtime. Unlike PackIn over a
-// staged identity array, it materializes nothing but the result: indices
-// are written directly to their final positions.
+// Unlike PackIn over a staged identity array, it materializes nothing but
+// the result: indices are written directly to their final positions.
 func PackIndexIn(rt *Runtime, n int, keep func(i int) bool) []int {
 	return packTo(rt, n, keep, func(out []int, w, i int) { out[w] = i })
 }
 
 // packTo is the shared count/scan/write skeleton of the pack primitives:
-// count kept indices per block, exclusive-scan the block counts, then write
+// count kept indices per block, prefix the block counts, then write
 // each kept index i through write(out, w, i) at its exact position. The
 // per-block counters come from the runtime's arena.
 func packTo[T any](rt *Runtime, n int, keep func(i int) bool, write func(out []T, w, i int)) []T {
@@ -120,7 +43,11 @@ func packTo[T any](rt *Runtime, n int, keep func(i int) bool, write func(out []T
 		}
 		counts.S[b] = c
 	})
-	total := ScanExclusiveIn(rt, counts.S)
+	total := 0
+	for b, c := range counts.S {
+		counts.S[b] = total
+		total += c
+	}
 	out := make([]T, total)
 	rt.Blocks(n, nBlocks, func(b, lo, hi int) {
 		w := counts.S[b]

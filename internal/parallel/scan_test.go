@@ -5,7 +5,7 @@ import "testing"
 func TestPackIndex(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 1000, 1 << 16} {
 		keep := func(i int) bool { return i%3 == 0 }
-		got := PackIndex(n, keep)
+		got := PackIndexIn(Default(), n, keep)
 		want := 0
 		for i := 0; i < n; i++ {
 			if keep(i) {
@@ -23,10 +23,10 @@ func TestPackIndex(t *testing.T) {
 
 func TestPackIndexNoneAndAll(t *testing.T) {
 	n := 10000
-	if got := PackIndex(n, func(int) bool { return false }); len(got) != 0 {
+	if got := PackIndexIn(Default(), n, func(int) bool { return false }); len(got) != 0 {
 		t.Fatalf("keep-none returned %d indices", len(got))
 	}
-	got := PackIndex(n, func(int) bool { return true })
+	got := PackIndexIn(Default(), n, func(int) bool { return true })
 	if len(got) != n {
 		t.Fatalf("keep-all returned %d indices, want %d", len(got), n)
 	}

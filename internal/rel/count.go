@@ -31,20 +31,19 @@ func CountDistinctPlane[R, K any](a []R, in *core.Plane[K],
 	d := core.NewDriver(len(a), key, hash, eq, cfg)
 	sc := d.Scratch()
 	s := parallel.GetObj[counter[R, K]](sc)
-	s.key, s.eq, s.d = key, d.Eq(), d
+	s.d = d
 	core.Pack(d.Runtime(), sc, core.Absorb(d, a, in, s), false) // frees the empty tree
 	total := s.total.Load()
-	*s = counter[R, K]{} // drop the user closures and the total before pooling
+	*s = counter[R, K]{} // drop the driver and the total before pooling
 	parallel.PutObj(sc, s)
 	d.Release()
 	return total
 }
 
-// counter is the distinct-count terminal op. Pooled per call. Levels and
-// leaves run in parallel and add their distinct keys into one total.
+// counter is the distinct-count terminal op over the shared distribution
+// driver, which holds the user closures. Pooled per call. Levels and leaves
+// run in parallel and add their distinct keys into one total.
 type counter[R, K any] struct {
-	key   func(R) K
-	eq    func(K, K) bool
 	d     *core.Driver[R, K]
 	total atomic.Int64
 }
@@ -67,33 +66,12 @@ func (s *counter[R, K]) Emit(lv *core.Level[K], _ []R, _ struct{}) (*parallel.Bu
 	return nil, nil
 }
 
-// Leaf counts the distinct keys of one cache-resident bucket sequentially,
-// consuming the cached hash plane. Slots store the first record index of
-// their key so equality runs against the original records; nothing is
+// Leaf counts the distinct keys of one cache-resident bucket: the group
+// count of the driver's grouping pass over its cached hashes. Nothing is
 // emitted.
 func (s *counter[R, K]) Leaf(cur []R, hcur []uint64) (*parallel.Buf[struct{}], *parallel.Buf[uint64]) {
-	n := len(cur)
-	sc := s.d.Scratch()
-	t := core.GetLeafTable(sc, n)
-	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
-	distinct := int64(0)
-	for idx := 0; idx < n; idx++ {
-		h := hcur[idx]
-		i := t.Home(h)
-		for {
-			si := slots[i]
-			if si < 0 {
-				t.Claim(i, int32(idx), h)
-				distinct++
-				break
-			}
-			if hashes[i] == h && s.eq(s.key(cur[si]), s.key(cur[idx])) {
-				break
-			}
-			i = (i + 1) & mask
-		}
-	}
-	t.Release(sc)
-	s.total.Add(distinct)
+	g := s.d.GroupLeaf(cur, hcur)
+	s.total.Add(int64(g.N))
+	g.Release(s.d.Scratch())
 	return nil, nil
 }

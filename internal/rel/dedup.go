@@ -40,21 +40,18 @@ func DedupPlane[R, K any](a []R, in *core.Plane[K], emit bool,
 	d := core.NewDriver(len(a), key, hash, eq, cfg)
 	sc := d.Scratch()
 	s := parallel.GetObj[deduper[R, K]](sc)
-	s.key, s.eq, s.d = key, d.Eq(), d
-	s.emit = emit
+	s.d, s.emit = d, emit
 	out, hout := core.Pack(d.Runtime(), sc, core.Absorb(d, a, in, s), emit)
-	*s = deduper[R, K]{} // drop the user closures before pooling
+	*s = deduper[R, K]{} // drop the driver before pooling
 	parallel.PutObj(sc, s)
 	d.Release()
 	return out, hout
 }
 
-// deduper is the dedup terminal op: the user closures plus the shared
-// distribution driver. Pooled per call. emit marks plane-emitting calls
-// (every output chunk travels with aligned hashes).
+// deduper is the dedup terminal op over the shared distribution driver,
+// which holds the user closures. Pooled per call. emit marks
+// plane-emitting calls (every output chunk travels with aligned hashes).
 type deduper[R, K any] struct {
-	key  func(R) K
-	eq   func(K, K) bool
 	d    *core.Driver[R, K]
 	emit bool
 }
@@ -90,47 +87,26 @@ func (s *deduper[R, K]) Emit(lv *core.Level[K], cur []R, fk dist.FirstKeep) (*pa
 	return own, hown
 }
 
-// Leaf deduplicates one cache-resident bucket sequentially with a keep-first
-// hash table consuming the cached hash plane; kept records are emitted into
-// a pooled chunk in first-appearance (= input) order.
+// Leaf deduplicates one cache-resident bucket from the driver's grouping
+// pass over its cached hashes: each group's first record, in
+// first-appearance (= input) order. Plane-emitting calls record each kept
+// record's cached hash alongside.
 func (s *deduper[R, K]) Leaf(cur []R, hcur []uint64) (*parallel.Buf[R], *parallel.Buf[uint64]) {
-	n := len(cur)
 	sc := s.d.Scratch()
-	t := core.GetLeafTable(sc, n)
-	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
-	own := parallel.GetBuf[R](sc, n)
-	out := own.S[:0]
-	// Plane-emitting calls record each kept record's cached hash alongside
-	// (appends stay within the n-record lease, so hout never reallocates).
-	var hown *parallel.Buf[uint64]
-	var hout []uint64
-	if s.emit {
-		hown = parallel.GetBuf[uint64](sc, n)
-		hout = hown.S[:0]
+	g := s.d.GroupLeaf(cur, hcur)
+	own := parallel.GetBuf[R](sc, len(cur))
+	own.S = own.S[:g.N]
+	for x, f := range g.First {
+		own.S[x] = cur[f]
 	}
-	for idx := 0; idx < n; idx++ {
-		h := hcur[idx]
-		i := t.Home(h)
-		for {
-			si := slots[i]
-			if si < 0 {
-				t.Claim(i, int32(len(out)), h)
-				out = append(out, cur[idx])
-				if s.emit {
-					hout = append(hout, h)
-				}
-				break
-			}
-			if hashes[i] == h && s.eq(s.key(out[si]), s.key(cur[idx])) {
-				break // duplicate: the first occurrence is already kept
-			}
-			i = (i + 1) & mask
+	var hown *parallel.Buf[uint64]
+	if s.emit {
+		hown = parallel.GetBuf[uint64](sc, len(cur))
+		hown.S = hown.S[:g.N]
+		for x, f := range g.First {
+			hown.S[x] = hcur[f]
 		}
 	}
-	t.Release(sc)
-	own.S = out
-	if s.emit {
-		hown.S = hout
-	}
+	g.Release(sc)
 	return own, hown
 }

@@ -59,16 +59,15 @@ func JoinGrouped[R, S, K, T any](a []R, boundsA []int32, b []S, boundsB []int32,
 		return nil
 	}
 	rt := parallel.Or(cfg.Runtime)
-	sc := rt.Scratch()
 	swap := gA > gB
 	var pairs *parallel.Buf[[2]int32]
 	if !swap {
-		pairs = matchGroups(sc, a, boundsA, keyA, b, boundsB, keyB, hash, eq)
+		pairs = matchGroups(a, boundsA, keyA, b, boundsB, keyB, hash, eq, cfg)
 	} else {
-		pairs = matchGroups(sc, b, boundsB, keyB, a, boundsA, keyA, hash, eq)
+		pairs = matchGroups(b, boundsB, keyB, a, boundsA, keyA, hash, eq, cfg)
 	}
 	nP := len(pairs.S)
-	offsBuf := parallel.GetBuf[int](sc, nP+1)
+	offsBuf := parallel.GetBuf[int](rt.Scratch(), nP+1)
 	offs := offsBuf.S
 	total := 0
 	for p, pr := range pairs.S {
@@ -124,13 +123,12 @@ func JoinGroupedCount[R, S, K any](a []R, boundsA []int32, b []S, boundsB []int3
 		return nil
 	}
 	rt := parallel.Or(cfg.Runtime)
-	sc := rt.Scratch()
 	swap := gA > gB
 	var pairs *parallel.Buf[[2]int32]
 	if !swap {
-		pairs = matchGroups(sc, a, boundsA, keyA, b, boundsB, keyB, hash, eq)
+		pairs = matchGroups(a, boundsA, keyA, b, boundsB, keyB, hash, eq, cfg)
 	} else {
-		pairs = matchGroups(sc, b, boundsB, keyB, a, boundsA, keyA, hash, eq)
+		pairs = matchGroups(b, boundsB, keyB, a, boundsA, keyA, hash, eq, cfg)
 	}
 	out := make([]collect.KV[K, int64], len(pairs.S))
 	rt.For(len(pairs.S), 1024, func(p int) {
@@ -152,53 +150,40 @@ func JoinGroupedCount[R, S, K any](a []R, boundsA []int32, b []S, boundsB []int3
 	return out
 }
 
-// matchGroups builds a distinct-key table over x's groups (slot payload: the
-// group index) and probes it with y's group heads, returning the matched
-// (xGroup, yGroup) pairs in y-probe order. One hash call per group of either
-// side. The caller releases the pair buffer.
-func matchGroups[X, Y, K any](sc *parallel.Scratch,
-	x []X, bx []int32, keyX func(X) K, y []Y, by []int32, keyY func(Y) K,
-	hash func(K) uint64, eq func(K, K) bool) *parallel.Buf[[2]int32] {
+// matchGroups chains x's groups by key (core.BuildChains over the group
+// heads; a grouped side's group keys are distinct, so every chain holds one
+// group) and looks up y's group heads in it, returning the matched (xGroup,
+// yGroup) pairs in y order. The heads are hashed and compared through one
+// driver per side, so the call's CallStats count its hash calls, one per
+// group of either side, and its eq calls, one per matched group on
+// collision-free hashes. The caller releases the pair buffer.
+func matchGroups[X, Y, K any](x []X, bx []int32, keyX func(X) K, y []Y, by []int32, keyY func(Y) K,
+	hash func(K) uint64, eq func(K, K) bool, cfg core.Config) *parallel.Buf[[2]int32] {
 	gx, gy := len(bx)-1, len(by)-1
-	t := core.GetLeafTable(sc, gx)
-	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
-	for g := 0; g < gx; g++ {
-		k := keyX(x[bx[g]])
-		h := hash(k)
-		s := t.Home(h)
-		for {
-			si := slots[s]
-			if si < 0 {
-				t.Claim(s, int32(g), h)
-				break
-			}
-			// Group keys are distinct within a grouped side, so an occupied
-			// equal-key slot cannot happen; a full-hash collision probes on.
-			if hashes[s] == h && eq(keyX(x[bx[si]]), k) {
-				break
-			}
-			s = (s + 1) & mask
-		}
-	}
+	headX := func(i int32) K { return keyX(x[i]) }
+	headY := func(i int32) K { return keyY(y[i]) }
+	dx := core.NewDriver(gx, headX, hash, eq, cfg)
+	dy := core.NewDriver(gy, headY, hash, eq, cfg)
+	sc := dx.Scratch()
+	hb := parallel.GetBuf[uint64](sc, gx+gy)
+	hx, hy := hb.S[:gx], hb.S[gx:]
+	dx.HashAll(bx[:gx], hx)
+	dy.HashAll(by[:gy], hy)
+	c := core.BuildChains(sc, bx[:gx], hx, headX, dx.Eq())
+	heads := parallel.GetBuf[int32](sc, gy)
+	core.Lookup(c, bx[:gx], headX, by[:gy], hy, headY, dx.Eq(), heads.S)
 	pairs := parallel.GetBuf[[2]int32](sc, 0)
 	ps := pairs.S[:0]
-	for g := 0; g < gy; g++ {
-		k := keyY(y[by[g]])
-		h := hash(k)
-		s := t.Home(h)
-		for {
-			si := slots[s]
-			if si < 0 {
-				break
-			}
-			if hashes[s] == h && eq(keyX(x[bx[si]]), k) {
-				ps = append(ps, [2]int32{si, int32(g)})
-				break
-			}
-			s = (s + 1) & mask
+	for g, xg := range heads.S {
+		if xg >= 0 {
+			ps = append(ps, [2]int32{xg, int32(g)})
 		}
 	}
 	pairs.S = ps
-	t.Release(sc)
+	heads.Release()
+	c.Release(sc)
+	hb.Release()
+	dy.Release()
+	dx.Release()
 	return pairs
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashutil"
 	"repro/internal/parallel"
-	"repro/internal/sampling"
 )
 
 // joinKind selects which rows an equi-join emits.
@@ -665,13 +664,13 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 	// probeB: build on a, probe with b — inner rows come out in (b-probe,
 	// a-chain) order.
 	probeB := (j.kind == joinInner && na < nb) || (j.kind == joinCount && na <= nb)
-	var c *chains
+	var c *core.Chains
 	nProbe := na
 	if probeB {
-		c = buildChains(sc, curA, hA, j.keyA, j.eq)
+		c = core.BuildChains(sc, curA, hA, j.keyA, j.eq)
 		nProbe = nb
 	} else {
-		c = buildChains(sc, curB, hB, j.keyB, j.eq)
+		c = core.BuildChains(sc, curB, hB, j.keyB, j.eq)
 	}
 	var nd *core.Node[T]
 	switch {
@@ -696,13 +695,13 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 			kids[b] = j.probeNode(c, curA, hA, curB, hB, probeB, lo, hi)
 		})
 	}
-	c.release(sc)
+	c.Release(sc)
 	return nd
 }
 
 // probeNode probes records [lo, hi) of the probe side into one fresh node,
 // whose chunk the probe fills.
-func (j *joiner[R, S, K, T]) probeNode(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int) *core.Node[T] {
+func (j *joiner[R, S, K, T]) probeNode(c *core.Chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int) *core.Node[T] {
 	nd := core.NewNode[T](j.dA.Scratch())
 	j.probe(c, curA, hA, curB, hB, probeB, lo, hi, nd)
 	return nd
@@ -719,7 +718,7 @@ const probeBlock = 1 << 10
 // chunk; on plane-emitting calls nd's hash chunk receives each row's key
 // hash (the probe record's cached hash) in lockstep. The counting join only
 // tallies each key's hits into c, and passes a nil nd.
-func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int, nd *core.Node[T]) {
+func (j *joiner[R, S, K, T]) probe(c *core.Chains, curA []R, hA []uint64, curB []S, hB []uint64, probeB bool, lo, hi int, nd *core.Node[T]) {
 	var heads [probeBlock]int32
 	var out []T
 	var hout []uint64
@@ -733,20 +732,20 @@ func (j *joiner[R, S, K, T]) probe(c *chains, curA []R, hA []uint64, curB []S, h
 		var hp []uint64
 		if probeB {
 			hp = hB[blo:bhi]
-			lookup(c, curA, j.keyA, curB[blo:bhi], hp, j.keyB, j.eq, hd)
+			core.Lookup(c, curA, j.keyA, curB[blo:bhi], hp, j.keyB, j.eq, hd)
 		} else {
 			hp = hA[blo:bhi]
-			lookup(c, curB, j.keyB, curA[blo:bhi], hp, j.keyA, j.eq, hd)
+			core.Lookup(c, curB, j.keyB, curA[blo:bhi], hp, j.keyA, j.eq, hd)
 		}
 		for o, x := range hd {
 			i := blo + o
 			switch {
 			case j.kind == joinCount:
 				if x >= 0 {
-					c.hits[x]++
+					c.Hits[x]++
 				}
 			case j.kind == joinInner:
-				for ; x >= 0; x = c.next[x] {
+				for ; x >= 0; x = c.Next[x] {
 					if len(out) == cap(out) {
 						out, hout = j.grow(nd, out, hout)
 					}
@@ -805,8 +804,8 @@ func (j *joiner[R, S, K, T]) grow(nd *core.Node[T], out []T, hout []uint64) ([]T
 // (key, rowCount of build records and probe hits) per key the probe side
 // hit, in build first-occurrence order. probeB reports that c was built
 // over a.
-func (j *joiner[R, S, K, T]) countRows(c *chains, curA []R, curB []S, probeB bool) *parallel.Buf[T] {
-	size, hits := c.size[:c.n], c.hits[:c.n]
+func (j *joiner[R, S, K, T]) countRows(c *core.Chains, curA []R, curB []S, probeB bool) *parallel.Buf[T] {
+	size, hits := c.Size[:c.N], c.Hits[:c.N]
 	matched := 0
 	for x, n := range size {
 		if n > 0 && hits[x] > 0 {
@@ -831,98 +830,4 @@ func (j *joiner[R, S, K, T]) countRows(c *chains, curA []R, curB []S, probeB boo
 		o++
 	}
 	return own
-}
-
-// chains is a join leaf's build over one side: a core.LeafTable whose slot
-// payload is the key's first build record, and beside it per build record
-// the next record of its key (-1 ends the chain), so each key's records
-// chain in input order. A key's first record x also holds the chain's last
-// record tail[x], the key's record count size[x] and its probe hits
-// hits[x] (the counting join's tally); size is 0 at every other record.
-// Pooled; the arrays only grow.
-type chains struct {
-	t                      *core.LeafTable
-	next, tail, size, hits []int32
-	n                      int
-}
-
-// buildChains chains the records of build per key, consuming its cached
-// hash plane hb. The caller releases the result.
-func buildChains[X, K any](sc *parallel.Scratch, build []X, hb []uint64, key func(X) K, eq func(K, K) bool) *chains {
-	n := len(build)
-	c := parallel.GetObj[chains](sc)
-	c.t = core.GetLeafTable(sc, n)
-	if len(c.next) < n {
-		m := sampling.CeilPow2(n)
-		a := make([]int32, 4*m) // one allocation for the four arrays
-		c.next, c.tail, c.size, c.hits = a[:m], a[m:2*m], a[2*m:3*m], a[3*m:]
-	}
-	c.n = n
-	t := c.t
-	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
-	next, tail, size := c.next, c.tail, c.size
-	for i, h := range hb[:n] {
-		var k K
-		haveK := false
-		s := t.Home(h)
-		x := slots[s]
-		for x >= 0 {
-			if hashes[s] == h {
-				if !haveK {
-					k, haveK = key(build[i]), true
-				}
-				if eq(key(build[x]), k) {
-					break
-				}
-			}
-			s = (s + 1) & mask
-			x = slots[s]
-		}
-		next[i] = -1
-		if x < 0 {
-			t.Claim(s, int32(i), h)
-			tail[i], size[i], c.hits[i] = int32(i), 1, 0
-			continue
-		}
-		next[tail[x]] = int32(i)
-		tail[x] = int32(i)
-		size[x]++
-		size[i] = 0
-	}
-	return c
-}
-
-// release empties the table and returns both to the arena.
-func (c *chains) release(sc *parallel.Scratch) {
-	c.t.Release(sc)
-	c.t = nil
-	parallel.PutObj(sc, c)
-}
-
-// lookup resolves probe records against c, a build over build: heads[i]
-// is the first build record of probe[i]'s key (hp[i] is its cached hash),
-// or -1 when the build side lacks the key. eq — and the probe key's
-// extraction — run only on a full-hash match, exactly as in the build.
-func lookup[X, Y, K any](c *chains, build []X, keyX func(X) K, probe []Y, hp []uint64, keyY func(Y) K, eq func(K, K) bool, heads []int32) {
-	t := c.t
-	slots, hashes, mask := t.Slots, t.Hashes, t.Mask
-	for i, h := range hp {
-		var k K
-		haveK := false
-		s := t.Home(h)
-		x := slots[s]
-		for x >= 0 {
-			if hashes[s] == h {
-				if !haveK {
-					k, haveK = keyY(probe[i]), true
-				}
-				if eq(keyX(build[x]), k) {
-					break
-				}
-			}
-			s = (s + 1) & mask
-			x = slots[s]
-		}
-		heads[i] = x
-	}
 }

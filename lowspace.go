@@ -25,11 +25,11 @@ func SortEqInPlace[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(
 // unspecified permutation of its input.
 func SortEqInPlaceE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) (err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	core.SortEqInPlace(a, key, hash, eq, cfg)
 	return nil
 }
@@ -44,11 +44,11 @@ func SortLessInPlace[R, K any](a []R, key func(R) K, hash func(K) uint64, less f
 // calls; see SortEqE for the contract.
 func SortLessInPlaceE[R, K any](a []R, key func(R) K, hash func(K) uint64, less func(K, K) bool, opts ...Option) (err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	core.SortLessInPlace(a, key, hash, less, cfg)
 	return nil
 }

@@ -700,7 +700,7 @@ func (p *pipeCore[R, K]) guarded(fn func()) {
 		return
 	}
 	saved := p.cfg
-	done, aerr := enterCall(&p.cfg)
+	call, aerr := enterCall(&p.cfg)
 	if aerr != nil {
 		p.cfg = saved
 		p.fail(aerr)
@@ -719,7 +719,7 @@ func (p *pipeCore[R, K]) guarded(fn func()) {
 			p.fail(errPipelineFaulted)
 		}
 	}()
-	defer done(&cerr)
+	defer call.done(&cerr)
 	fn()
 	completed = true
 }

@@ -672,6 +672,55 @@ func TestPipelineGroupedJoin(t *testing.T) {
 	checkTopK(t, top, k, want)
 }
 
+// TestPipelineGroupedJoinStats pins the grouped join's group match in the
+// stats plane: with both sides grouped, the stage that matches the groups
+// hashes one head per group of either side and runs eq once per matched
+// group (Hash64 is a bijection, so no two keys collide), and its stage
+// entry reports exactly those calls.
+func TestPipelineGroupedJoinStats(t *testing.T) {
+	a := pipelineData(5000, 700, 81)
+	b := pipelineData(3000, 900, 82)
+	keysA, keysB := map[uint64]bool{}, map[uint64]bool{}
+	for _, c := range a {
+		keysA[c.User] = true
+	}
+	matched := 0
+	for _, c := range b {
+		if keysA[c.User] && !keysB[c.User] {
+			matched++
+		}
+		keysB[c.User] = true
+	}
+	hashes := int64(len(keysA) + len(keysB))
+	for _, procs := range []int{1, 2} {
+		rt := semisort.NewRuntime(procs)
+		for _, op := range []string{"CountDistinct", "Run"} {
+			var s semisort.CallStats
+			p := semisort.Query(a, clickUser, semisort.Hash64, eqID, semisort.WithRuntime(rt), semisort.WithStats(&s)).Sort().
+				JoinEqP(semisort.Query(b, clickUser, semisort.Hash64, eqID, semisort.WithRuntime(rt)).Sort())
+			if op == "Run" {
+				p.Run()
+			} else if got := p.CountDistinct(); got != int64(matched) {
+				t.Fatalf("procs=%d: CountDistinct = %d, want %d", procs, got, matched)
+			}
+			var st *semisort.CallStats
+			for i := range p.Stats() {
+				if e := p.Stats()[i]; e.Op == op {
+					st = &e.Stats
+				}
+			}
+			if st == nil {
+				t.Fatalf("procs=%d: no %s entry in %v", procs, op, p.Stats())
+			}
+			if st.HashCalls != hashes || st.EqCalls != int64(matched) {
+				t.Fatalf("procs=%d: %s stage read HashCalls %d, EqCalls %d; want %d (groups of a and b), %d (matched groups)",
+					procs, op, st.HashCalls, st.EqCalls, hashes, matched)
+			}
+		}
+		rt.Close()
+	}
+}
+
 func TestPipelineDistinctShortcuts(t *testing.T) {
 	a := pipelineZipf(80000, 20)
 	distinct := semisort.CountDistinct(a, clickUser, semisort.Hash64, eqID)

@@ -23,11 +23,11 @@ func Dedup[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bo
 // input is untouched (Dedup never modifies it).
 func DedupE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) (out []R, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return rel.Dedup(a, key, hash, eq, cfg), nil
 }
 
@@ -67,11 +67,11 @@ func JoinEq[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 func JoinEqE[R, S, K, T any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, join func(R, S) T, opts ...Option) (out []T, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return rel.Join(a, b, keyA, keyB, hash, eq, join, cfg), nil
 }
 
@@ -91,11 +91,11 @@ func SemiJoinEq[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 func SemiJoinEqE[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, opts ...Option) (out []R, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return rel.SemiJoin(a, b, keyA, keyB, hash, eq, cfg), nil
 }
 
@@ -114,11 +114,11 @@ func AntiJoinEq[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 func AntiJoinEqE[R, S, K any](a []R, b []S, keyA func(R) K, keyB func(S) K,
 	hash func(K) uint64, eq func(K, K) bool, opts ...Option) (out []R, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return rel.AntiJoin(a, b, keyA, keyB, hash, eq, cfg), nil
 }
 
@@ -138,11 +138,11 @@ func CountDistinct[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(
 // (0, ctx.Err()).
 func CountDistinctE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) (n int64, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return 0, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return rel.CountDistinct(a, key, hash, eq, cfg), nil
 }
 
@@ -163,11 +163,11 @@ func TopK[R, K any](a []R, k int, key func(R) K, hash func(K) uint64, eq func(K,
 // for the contract.
 func TopKE[R, K any](a []R, k int, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) (out []KeyCount[K], err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	kv := rel.TopK(a, k, key, hash, eq, cfg)
 	out = make([]KeyCount[K], len(kv))
 	for i, e := range kv {

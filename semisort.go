@@ -53,11 +53,11 @@ func SortEq[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) b
 // non-nil error.
 func SortEqE[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) (err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	core.SortEq(a, key, hash, eq, cfg)
 	return nil
 }
@@ -73,11 +73,11 @@ func SortLess[R, K any](a []R, key func(R) K, hash func(K) uint64, less func(K, 
 // SortEqE for the contract.
 func SortLessE[R, K any](a []R, key func(R) K, hash func(K) uint64, less func(K, K) bool, opts ...Option) (err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	core.SortLess(a, key, hash, less, cfg)
 	return nil
 }

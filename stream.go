@@ -265,11 +265,11 @@ func NewDedupStream[R, K any](key func(R) K, hash func(K) uint64, eq func(K, K) 
 func dedupHashed[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool,
 	hs []uint64, opts []Option) (out []R, _ []uint64, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, hs, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	out, hout := rel.DedupPlane(a, nil, true, key, hash, eq, cfg)
 	hs = hs[:0]
 	if hout != nil {

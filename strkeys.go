@@ -60,11 +60,11 @@ func SortEqKeyed[R any](a []R, appendKey AppendKey[R], opts ...Option) {
 // see SortEqE for the contract.
 func SortEqKeyedE[R any](a []R, appendKey AppendKey[R], opts ...Option) (err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	strkey.SortEq(a, strkey.AppendKey[R](appendKey), strkey.Bytes, cfg)
 	return nil
 }
@@ -94,11 +94,11 @@ func DedupKeyed[R any](a []R, appendKey AppendKey[R], opts ...Option) []R {
 // SortEqE for the contract.
 func DedupKeyedE[R any](a []R, appendKey AppendKey[R], opts ...Option) (out []R, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return strkey.Dedup(a, strkey.AppendKey[R](appendKey), strkey.Bytes, cfg), nil
 }
 
@@ -133,11 +133,11 @@ func JoinEqKeyed[R, S, T any](a []R, b []S, appendKeyA AppendKey[R], appendKeyB 
 func JoinEqKeyedE[R, S, T any](a []R, b []S, appendKeyA AppendKey[R], appendKeyB AppendKey[S],
 	join func(R, S) T, opts ...Option) (out []T, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return strkey.Join(a, b, strkey.AppendKey[R](appendKeyA), strkey.AppendKey[S](appendKeyB),
 		strkey.Bytes, join, cfg), nil
 }
@@ -156,11 +156,11 @@ func SemiJoinEqStr[R, S any](a []R, b []S, keyA func(R) string, keyB func(S) str
 func SemiJoinEqStrE[R, S any](a []R, b []S, keyA func(R) string, keyB func(S) string,
 	opts ...Option) (out []R, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return strkey.SemiJoin(a, b, appendStr(keyA), appendStr(keyB), strkey.Bytes, cfg), nil
 }
 
@@ -189,11 +189,11 @@ func CountDistinctKeyed[R any](a []R, appendKey AppendKey[R], opts ...Option) in
 // cancellable calls; see SortEqE for the contract.
 func CountDistinctKeyedE[R any](a []R, appendKey AppendKey[R], opts ...Option) (n int64, err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return 0, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return strkey.CountDistinct(a, strkey.AppendKey[R](appendKey), strkey.Bytes, cfg), nil
 }
 
@@ -212,11 +212,11 @@ func HistogramStr[R any](a []R, key func(R) string, opts ...Option) []KeyCount[s
 // see SortEqE for the contract.
 func HistogramStrE[R any](a []R, key func(R) string, opts ...Option) (out []KeyCount[string], err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return strkey.Histogram(a, appendStr(key), strkey.Bytes, keyCount, cfg), nil
 }
 
@@ -234,11 +234,11 @@ func TopKStr[R any](a []R, k int, key func(R) string, opts ...Option) []KeyCount
 // SortEqE for the contract.
 func TopKStrE[R any](a []R, k int, key func(R) string, opts ...Option) (out []KeyCount[string], err error) {
 	cfg := buildConfig(opts)
-	done, aerr := enterCall(&cfg)
+	call, aerr := enterCall(&cfg)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer done(&err)
+	defer call.done(&err)
 	return strkey.TopK(a, k, appendStr(key), strkey.Bytes, keyCount, cfg), nil
 }
 

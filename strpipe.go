@@ -30,11 +30,11 @@ func QueryKeyed[R any](a []R, appendKey AppendKey[R], opts ...Option) *PipelineS
 	st := &strState[R]{a: a}
 	inner := cfg // the un-entered config the per-stage guards re-enter
 	berr := func() (err error) {
-		done, aerr := enterCall(&cfg)
+		call, aerr := enterCall(&cfg)
 		if aerr != nil {
 			return aerr
 		}
-		defer done(&err)
+		defer call.done(&err)
 		strkey.Build(&st.plane, 0, a, strkey.AppendKey[R](appendKey), strkey.Bytes, cfg)
 		return nil
 	}()
@@ -130,11 +130,11 @@ func (p *PipelineStr[R]) JoinEqKeyed(b []R, appendKeyB AppendKey[R]) *JoinedPipe
 		// fault here consumes the pipeline and rides to the terminal.
 		cfg := p.p.c.cfg
 		berr := func() (err error) {
-			done, aerr := enterCall(&cfg)
+			call, aerr := enterCall(&cfg)
 			if aerr != nil {
 				return aerr
 			}
-			defer done(&err)
+			defer call.done(&err)
 			strkey.Build(&st.plane, 1, b, strkey.AppendKey[R](appendKeyB), strkey.Bytes, cfg)
 			return nil
 		}()
