@@ -86,6 +86,14 @@
 // unfused comparisons and DESIGN.md ("Pipeline fusion") for what fuses and
 // what falls back.
 //
+// String keys take the same pipeline type: QueryStr (and QueryKeyed, for
+// []byte or composite keys) returns a *Pipeline[R, string] with no hash or
+// eq to supply. Its keys are copied once into a pooled byte arena and every
+// stage runs over 16-byte span records, with the same stages, terminals,
+// per-stage Stats and JoinEqP as any pipeline:
+//
+//	top := semisort.QueryStr(views, viewURL).Dedup().JoinEq(clicks, viewURL).TopK(10)
+//
 // # Runtime
 //
 // All calls execute on a persistent parallel runtime: a fixed pool of

@@ -683,8 +683,9 @@ func (j *joiner[R, S, K, T]) baseImpl(curA []R, hA []uint64, curB []S, hB []uint
 		// (a per-leaf closure would dominate steady-state allocations).
 		nd = j.probeNode(c, curA, hA, curB, hB, probeB, 0, nProbe)
 	default:
-		// The blocks partition is a pure function of n, so the row order
-		// is scheduling-independent.
+		// The block count follows the worker count, but the blocks cover
+		// the probe side in order and their chunks pack in block order, so
+		// rows stay in probe order at any worker count.
 		rt := j.dA.Runtime()
 		nBlocks := min(4*parallel.Workers(), (nProbe+core.SerialCutoff-1)/core.SerialCutoff)
 		nd = core.NewNode[T](sc)

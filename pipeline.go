@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/rel"
+	"repro/internal/strkey"
 )
 
 // Query begins a fused pipeline over a: a fluent chain of relational stages
@@ -48,19 +49,8 @@ import (
 //	    JoinEq(clicks, clickUser).
 //	    TopK(10)
 func Query[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool, opts ...Option) *Pipeline[R, K] {
-	cfg := buildConfig(opts)
-	var stages *[]StageStats
-	if cfg.Stats != nil {
-		stages = new([]StageStats)
-	}
-	return &Pipeline[R, K]{c: pipeCore[R, K]{
-		cfg:    cfg,
-		data:   a,
-		key:    key,
-		hash:   hash,
-		eq:     eq,
-		stages: stages,
-	}}
+	c := newCore(buildConfig(opts), a, key, hash, eq)
+	return &Pipeline[R, K]{pipeBase[R, K]{&c}}
 }
 
 // Joined is one row of a fused equi-join: the matched records of the two
@@ -69,10 +59,10 @@ type Joined[R any] struct {
 	Left, Right R
 }
 
-// Pipeline is an in-flight fused query; see Query. The zero value is not
-// usable.
+// Pipeline is an in-flight fused query; see Query, and QueryStr for string
+// keys. The zero value is not usable.
 type Pipeline[R, K any] struct {
-	c pipeCore[R, K]
+	pipeBase[R, K]
 }
 
 // Dedup keeps one record per distinct key (the key's first record in input
@@ -85,18 +75,18 @@ type Pipeline[R, K any] struct {
 // distributes the records over the input plane (cached hashes, adopted
 // heavy keys) and emits the output's hash plane for the next stage. A callback
 // fault in a deferred dedup surfaces from the consumer that runs it.
-func (p *Pipeline[R, K]) Dedup() *Pipeline[R, K] { p.c.dedup("Dedup"); return p }
+func (p *Pipeline[R, K]) Dedup() *Pipeline[R, K] { p.e.dedup("Dedup"); return p }
 
 // Sort groups equal-key records contiguously (semisort=) and records the
 // group boundaries, so every downstream stage sees grouped data. An upstream
 // hash plane is consumed in place of re-hashing: the sort issues zero user
 // hash calls then. The first Sort on caller-provided data copies it once;
 // pipeline-owned data sorts in place.
-func (p *Pipeline[R, K]) Sort() *Pipeline[R, K] { p.c.sort("Sort"); return p }
+func (p *Pipeline[R, K]) Sort() *Pipeline[R, K] { p.e.sort("Sort"); return p }
 
 // GroupBy is Sort under its relational name: group equal-key records
 // contiguously and carry the boundaries forward.
-func (p *Pipeline[R, K]) GroupBy() *Pipeline[R, K] { p.c.sort("GroupBy"); return p }
+func (p *Pipeline[R, K]) GroupBy() *Pipeline[R, K] { p.e.sort("GroupBy"); return p }
 
 // JoinEq stages the inner equi-join of the pipeline with relation b (joined
 // on eq(key(r), keyB(s)); both sides key into the same K). The join is
@@ -104,63 +94,122 @@ func (p *Pipeline[R, K]) GroupBy() *Pipeline[R, K] { p.c.sort("GroupBy"); return
 // per-key counts and never materializes a joined row — under skew the join
 // can emit far more rows than either input holds, and this is the
 // structural win of fusing — while any other continuation materializes
-// Joined rows once, emitting their plane for further fused stages. The
-// receiver is consumed. A joined pipeline cannot join again (Go's generics
-// forbid the unbounded Joined[Joined[...]] type growth a fluent re-join
-// would need); chain a fresh Query over its Run output instead.
+// Joined rows once, emitting their plane for further fused stages. On a
+// string pipeline b's keys build into the second slot of the pipeline's
+// arena plane, so cross-relation equality is a contiguous byte compare
+// behind the digest gate. The receiver is consumed. A joined pipeline
+// cannot join again (Go's generics forbid the unbounded Joined[Joined[...]]
+// type growth a fluent re-join would need); chain a fresh Query over its Run
+// output instead.
 func (p *Pipeline[R, K]) JoinEq(b []R, keyB func(R) K) *JoinedPipeline[R, K] {
-	p.c.check("JoinEq")
-	p.c.staged("JoinEq", func() { p.c.settle() })
-	if p.c.fault != nil {
-		return faultedJoin(&p.c)
+	if s, ok := any(p.e).(*arenaPipe[R, strkey.Rec]); ok {
+		return joinedPipeline[R, K](strJoin(s, "JoinEq", b, appendStr(any(keyB).(func(R) string))))
 	}
-	pj := &eqJoin[R, K]{
-		a: p.c.data, b: b,
-		keyA: p.c.key, keyB: keyB,
-		hash: p.c.hash, eq: p.c.eq,
-		dedupA: p.c.dedupPend,
-	}
-	pj.inA, p.c.plane = p.c.plane, core.Plane[K]{}
-	p.c.used = true
-	return joinedPipeline(&p.c, pj)
+	c := p.e.(*pipeCore[R, K])
+	c.check("JoinEq")
+	c.staged("JoinEq", c.settle)
+	return joinedPipeline[R, K](join(c, &pipeCore[R, K]{data: b, key: keyB}))
 }
 
 // JoinEqP is JoinEq with another pipeline as the right side, joined on the
-// two pipelines' keys: both sides' planes fuse into the join (neither side
-// re-hashes what upstream already hashed), and when both sides arrive
-// grouped the join skips the driver entirely and matches groups — one hash
-// call per group instead of one per record. A pending Dedup on either side
-// folds into a counting terminal as it does for JoinEq's left side. Both
-// pipelines are consumed.
+// two pipelines' keys. Two Query pipelines fuse: both sides' planes fuse
+// into the join (neither side re-hashes what upstream already hashed), and
+// when both sides arrive grouped the join skips the driver entirely and
+// matches groups — one hash call per group instead of one per record. A
+// pending Dedup on either side folds into a counting terminal as it does
+// for JoinEq's left side. A string pipeline (QueryStr, QueryKeyed) keeps its
+// keys in an arena plane of its own, so any pairing with one does not fuse:
+// b runs to its records, as its RunE would (a fault of b rides into the
+// join), and the pipeline joins them as JoinEq would, on b's key. A Query
+// pipeline reads a string b's key through b's append-style materializer,
+// one allocation per key call. Both pipelines are consumed.
 func (p *Pipeline[R, K]) JoinEqP(b *Pipeline[R, K]) *JoinedPipeline[R, K] {
-	p.c.check("JoinEqP")
-	b.c.check("JoinEqP")
-	p.c.staged("JoinEqP", func() { p.c.settle() })
-	b.c.staged("JoinEqP", func() { b.c.settle() })
-	if p.c.fault != nil || b.c.fault != nil {
-		// Either side's fault consumes both and rides into the join.
-		if p.c.fault == nil {
-			p.c.fault = b.c.fault
+	pc, _ := p.e.(*pipeCore[R, K])
+	bc, _ := b.e.(*pipeCore[R, K])
+	if pc != nil && bc != nil {
+		pc.check("JoinEqP")
+		bc.check("JoinEqP")
+		pc.staged("JoinEqP", pc.settle)
+		bc.staged("JoinEqP", bc.settle)
+		return joinedPipeline[R, K](join(pc, bc))
+	}
+	bs, _ := any(b.e).(*arenaPipe[R, strkey.Rec])
+	if pc != nil {
+		pc.check("JoinEqP")
+		rows, err := b.e.runE("JoinEqP")
+		if err != nil {
+			pc.fail(err)
 		}
-		b.c.fault = nil
-		b.c.used = true
-		return faultedJoin(&p.c)
+		appendKeyB := bs.appendKey
+		keyB := func(r R) string { return string(appendKeyB(nil, r)) }
+		pc.staged("JoinEqP", pc.settle)
+		return joinedPipeline[R, K](join(pc, &pipeCore[R, K]{data: rows, key: any(keyB).(func(R) K)}))
 	}
-	pj := &eqJoin[R, K]{
-		a: p.c.data, b: b.c.data,
-		keyA: p.c.key, keyB: b.c.key,
-		hash: p.c.hash, eq: p.c.eq,
-		dedupA: p.c.dedupPend, dedupB: b.c.dedupPend,
+	ps := any(p.e).(*arenaPipe[R, strkey.Rec])
+	ps.check("JoinEqP")
+	var appendKeyB strkey.AppendKey[R]
+	if bs != nil {
+		appendKeyB = bs.appendKey
+	} else {
+		appendKeyB = appendStr(any(bc.key).(func(R) string))
 	}
-	pj.inA, p.c.plane = p.c.plane, core.Plane[K]{}
-	pj.inB, b.c.plane = b.c.plane, core.Plane[K]{}
-	p.c.used, b.c.used = true, true
-	return joinedPipeline(&p.c, pj)
+	rows, err := b.e.runE("JoinEqP")
+	if err != nil {
+		ps.fail(err)
+	}
+	return joinedPipeline[R, K](strJoin(ps, "JoinEqP", rows, appendKeyB))
 }
 
-// Run materializes the pipeline's records and ends it.
-func (p *Pipeline[R, K]) Run() []R {
-	out, err := p.c.runE("Run")
+// JoinedPipeline is a pipeline over the rows of a staged equi-join (see
+// Pipeline.JoinEq). It offers every stage and terminal except a further
+// join.
+type JoinedPipeline[R, K any] struct {
+	pipeBase[Joined[R], K]
+}
+
+// joinedPipeline wraps a join's engine: a *pipeCore[Joined[R], K], or on a
+// string pipeline (K is string) an *arenaPipe over the joined span rows.
+func joinedPipeline[R, K any](e any) *JoinedPipeline[R, K] {
+	return &JoinedPipeline[R, K]{pipeBase[Joined[R], K]{e.(pipeEngine[Joined[R], K])}}
+}
+
+// Dedup keeps one joined row per distinct join key; see Pipeline.Dedup.
+func (p *JoinedPipeline[R, K]) Dedup() *JoinedPipeline[R, K] { p.e.dedup("Dedup"); return p }
+
+// Sort groups equal-key joined rows contiguously; see Pipeline.Sort.
+func (p *JoinedPipeline[R, K]) Sort() *JoinedPipeline[R, K] { p.e.sort("Sort"); return p }
+
+// GroupBy is Sort under its relational name.
+func (p *JoinedPipeline[R, K]) GroupBy() *JoinedPipeline[R, K] { p.e.sort("GroupBy"); return p }
+
+// pipeEngine runs one pipeline's stages and terminals, T being the rows the
+// terminals return: *pipeCore runs them over the caller's records (Query,
+// and every join of a Query pipeline), *arenaPipe over a string pipeline's
+// span plane (QueryStr, QueryKeyed). The joins are not part of it: as
+// pipeCore methods they would instantiate a join of joined rows, an
+// instantiation cycle Go rejects, so Pipeline stages them itself.
+type pipeEngine[T, K any] interface {
+	dedup(op string)
+	sort(op string)
+	runE(op string) ([]T, error)
+	groupsE(op string) ([]T, []Group, error)
+	histogramE(op string) ([]KeyCount[K], error)
+	topKE(op string, k int) ([]KeyCount[K], error)
+	countDistinctE(op string) (int64, error)
+	stageStats() []StageStats
+}
+
+// pipeBase carries the terminals Pipeline and JoinedPipeline share. In
+// their documentation T is R on a Pipeline and Joined[R] on a
+// JoinedPipeline.
+type pipeBase[T, K any] struct {
+	e pipeEngine[T, K]
+}
+
+// Run materializes the pipeline's rows (T is R on a Pipeline, Joined[R] on a
+// JoinedPipeline) and ends the pipeline.
+func (p *pipeBase[T, K]) Run() []T {
+	out, err := p.e.runE("Run")
 	mustCall(err)
 	return out
 }
@@ -168,198 +217,127 @@ func (p *Pipeline[R, K]) Run() []R {
 // RunE is Run with an error return for cancellable pipelines: combined with
 // WithContext on Query it returns ctx.Err() once the query has unwound and
 // its pooled state is discarded. A fault in an earlier stage is reported
-// here too — one error check covers the whole fluent chain.
-func (p *Pipeline[R, K]) RunE() ([]R, error) { return p.c.runE("RunE") }
+// here too — one error check covers the whole fluent chain. T is R on a
+// Pipeline and Joined[R] on a JoinedPipeline.
+func (p *pipeBase[T, K]) RunE() ([]T, error) { return p.e.runE("RunE") }
 
-// Groups materializes the pipeline's records grouped by key (sorting first
-// if no upstream stage grouped them) and returns the records with their
-// group boundaries. It ends the pipeline.
-func (p *Pipeline[R, K]) Groups() ([]R, []Group) {
-	out, groups, err := p.c.groupsE("Groups")
+// Groups materializes the pipeline's rows grouped by key (sorting first if
+// no upstream stage grouped them) and returns them with their group
+// boundaries; T is R on a Pipeline and Joined[R], grouped by join key, on a
+// JoinedPipeline. It ends the pipeline.
+func (p *pipeBase[T, K]) Groups() ([]T, []Group) {
+	out, groups, err := p.e.groupsE("Groups")
 	mustCall(err)
 	return out, groups
 }
 
 // GroupsE is Groups with an error return for cancellable pipelines; see
-// RunE for the contract.
-func (p *Pipeline[R, K]) GroupsE() ([]R, []Group, error) { return p.c.groupsE("GroupsE") }
+// RunE for the contract. T is R on a Pipeline and Joined[R] on a
+// JoinedPipeline.
+func (p *pipeBase[T, K]) GroupsE() ([]T, []Group, error) { return p.e.groupsE("GroupsE") }
 
-// Histogram counts each distinct key's records and ends the pipeline. A
-// staged join counts without materializing rows; grouped data reads group
-// lengths; distinct data is all ones; otherwise the count-only driver runs
-// over the input plane.
-func (p *Pipeline[R, K]) Histogram() []KeyCount[K] {
-	out, err := p.c.histogramE("Histogram")
+// Histogram counts each distinct key's records, or a joined pipeline's rows
+// per join key, and ends the pipeline. A staged join counts without
+// materializing rows; grouped data reads group lengths; distinct data is all
+// ones; otherwise the count-only driver runs over the input plane. On a
+// string pipeline only the emitted keys are copied out of the arena, and
+// they share block-sized backing strings as HistogramStr's keys do;
+// strings.Clone detaches one.
+func (p *pipeBase[T, K]) Histogram() []KeyCount[K] {
+	out, err := p.e.histogramE("Histogram")
 	mustCall(err)
 	return out
 }
 
 // HistogramE is Histogram with an error return for cancellable pipelines;
 // see RunE for the contract.
-func (p *Pipeline[R, K]) HistogramE() ([]KeyCount[K], error) { return p.c.histogramE("HistogramE") }
+func (p *pipeBase[T, K]) HistogramE() ([]KeyCount[K], error) { return p.e.histogramE("HistogramE") }
 
 // TopK returns the k most frequent keys with their counts, ordered by
 // descending count, and ends the pipeline. The selection runs over the
 // fused histogram — O(distinct) or O(matched groups), never over
-// materialized join rows. Ties break by position in the histogram's
-// emission order: deterministic for a fixed seed, but set by the plan, so
-// a folded Dedup may pick other equal-count keys than a settled one would.
-func (p *Pipeline[R, K]) TopK(k int) []KeyCount[K] {
-	out, err := p.c.topKE("TopK", k)
+// materialized join rows; on a string pipeline only the k winners' keys are
+// copied out of the arena, into shared backing strings as Histogram's are.
+// Ties break by position in the histogram's emission order: deterministic
+// for a fixed seed, but set by the plan, so a folded Dedup may pick other
+// equal-count keys than a settled one would.
+func (p *pipeBase[T, K]) TopK(k int) []KeyCount[K] {
+	out, err := p.e.topKE("TopK", k)
 	mustCall(err)
 	return out
 }
 
 // TopKE is TopK with an error return for cancellable pipelines; see RunE
 // for the contract.
-func (p *Pipeline[R, K]) TopKE(k int) ([]KeyCount[K], error) { return p.c.topKE("TopKE", k) }
+func (p *pipeBase[T, K]) TopKE(k int) ([]KeyCount[K], error) { return p.e.topKE("TopKE", k) }
 
-// CountDistinct returns the number of distinct keys and ends the pipeline.
-// A pending Dedup never runs, since it keeps every key. Distinct data is a
-// length; grouped data a group count; a staged join the number of matched
-// keys; otherwise a count-only distribution runs over the input plane.
-func (p *Pipeline[R, K]) CountDistinct() int64 {
-	n, err := p.c.countDistinctE("CountDistinct")
+// CountDistinct returns the number of distinct keys, or a joined pipeline's
+// join keys with at least one row, and ends the pipeline. A pending Dedup
+// never runs, since it keeps every key. Distinct data is a length; grouped
+// data a group count; a staged join the number of matched keys, counted
+// without materializing rows; otherwise a count-only distribution runs over
+// the input plane.
+func (p *pipeBase[T, K]) CountDistinct() int64 {
+	n, err := p.e.countDistinctE("CountDistinct")
 	mustCall(err)
 	return n
 }
 
 // CountDistinctE is CountDistinct with an error return for cancellable
 // pipelines; see RunE for the contract.
-func (p *Pipeline[R, K]) CountDistinctE() (int64, error) {
-	return p.c.countDistinctE("CountDistinctE")
+func (p *pipeBase[T, K]) CountDistinctE() (int64, error) {
+	return p.e.countDistinctE("CountDistinctE")
 }
 
 // Stats returns the per-stage statistics of a WithStats pipeline, one entry
 // per stage/terminal that ran, in execution order (nil without the option):
 // a settled Dedup records a "Dedup" entry where it ran, a folded one none.
-// Unlike stages and terminals it is callable on a consumed pipeline — read
-// it after the terminal, when every stage has merged its counters; the
-// WithStats target holds the pipeline's total.
-func (p *Pipeline[R, K]) Stats() []StageStats { return p.c.stageStats() }
+// A joined pipeline's record covers the pre-join stages of its left side
+// too (the record is shared across the join). Unlike stages and terminals
+// it is callable on a consumed pipeline — read it after the terminal, when
+// every stage has merged its counters; the WithStats target holds the
+// pipeline's total.
+func (p *pipeBase[T, K]) Stats() []StageStats { return p.e.stageStats() }
 
-// JoinedPipeline is a pipeline over the rows of a staged equi-join (see
-// Pipeline.JoinEq). It offers every stage and terminal except a further
-// join.
-type JoinedPipeline[R, K any] struct {
-	c pipeCore[Joined[R], K]
-}
-
-// joinedPipeline wraps a staged join as the next pipeline; joined rows key
-// by the join key, read from the left record.
-func joinedPipeline[R, K any](c *pipeCore[R, K], pj *eqJoin[R, K]) *JoinedPipeline[R, K] {
+// join stages the equi-join of c's records with b's, keyed by b.key and
+// fusing b's plane and pending dedup, and returns the joined rows' core,
+// keyed by the join key read from the left record. Both cores are consumed;
+// a fault of either side rides into the join, so the terminal at the end
+// of the chain still reports it.
+func join[R, K any](c, b *pipeCore[R, K]) *pipeCore[Joined[R], K] {
 	keyA := c.key
-	return &JoinedPipeline[R, K]{c: pipeCore[Joined[R], K]{
+	jc := &pipeCore[Joined[R], K]{
 		cfg:    c.cfg,
 		key:    func(j Joined[R]) K { return keyA(j.Left) },
 		hash:   c.hash,
 		eq:     c.eq,
-		pend:   pj,
-		owned:  true,
-		stages: c.stages,
-	}}
-}
-
-// faultedJoin builds the joined pipeline for a join whose input side
-// faulted while settling: the fault transfers to the new pipeline (the
-// receiver is left consumed), so the terminal at the end of the chain
-// still reports it.
-func faultedJoin[R, K any](c *pipeCore[R, K]) *JoinedPipeline[R, K] {
-	jp := &JoinedPipeline[R, K]{c: pipeCore[Joined[R], K]{
-		cfg:    c.cfg,
-		hash:   c.hash,
-		eq:     c.eq,
 		fault:  c.fault,
 		stages: c.stages,
-	}}
-	c.fault = nil
-	c.used = true
-	return jp
+	}
+	if jc.fault == nil {
+		jc.fault = b.fault
+	}
+	if jc.fault == nil {
+		jc.pend = &eqJoin[R, K]{
+			a: c.data, b: b.data,
+			inA: c.plane, inB: b.plane,
+			keyA: c.key, keyB: b.key,
+			hash: c.hash, eq: c.eq,
+			dedupA: c.dedupPend, dedupB: b.dedupPend,
+		}
+		jc.owned = true
+	}
+	c.plane, b.plane = core.Plane[K]{}, core.Plane[K]{}
+	c.fault, b.fault = nil, nil
+	c.used, b.used = true, true
+	return jc
 }
 
-// Dedup keeps one joined row per distinct join key; see Pipeline.Dedup.
-func (p *JoinedPipeline[R, K]) Dedup() *JoinedPipeline[R, K] { p.c.dedup("Dedup"); return p }
-
-// Sort groups equal-key joined rows contiguously; see Pipeline.Sort.
-func (p *JoinedPipeline[R, K]) Sort() *JoinedPipeline[R, K] { p.c.sort("Sort"); return p }
-
-// GroupBy is Sort under its relational name.
-func (p *JoinedPipeline[R, K]) GroupBy() *JoinedPipeline[R, K] { p.c.sort("GroupBy"); return p }
-
-// Run materializes the joined rows and ends the pipeline.
-func (p *JoinedPipeline[R, K]) Run() []Joined[R] {
-	out, err := p.c.runE("Run")
-	mustCall(err)
-	return out
-}
-
-// RunE is Run with an error return for cancellable pipelines; see
-// Pipeline.RunE for the contract.
-func (p *JoinedPipeline[R, K]) RunE() ([]Joined[R], error) { return p.c.runE("RunE") }
-
-// Groups materializes the joined rows grouped by join key; see
-// Pipeline.Groups.
-func (p *JoinedPipeline[R, K]) Groups() ([]Joined[R], []Group) {
-	out, groups, err := p.c.groupsE("Groups")
-	mustCall(err)
-	return out, groups
-}
-
-// GroupsE is Groups with an error return for cancellable pipelines; see
-// Pipeline.RunE for the contract.
-func (p *JoinedPipeline[R, K]) GroupsE() ([]Joined[R], []Group, error) {
-	return p.c.groupsE("GroupsE")
-}
-
-// Histogram counts each join key's rows WITHOUT materializing them; see
-// Pipeline.Histogram.
-func (p *JoinedPipeline[R, K]) Histogram() []KeyCount[K] {
-	out, err := p.c.histogramE("Histogram")
-	mustCall(err)
-	return out
-}
-
-// HistogramE is Histogram with an error return for cancellable pipelines;
-// see Pipeline.RunE for the contract.
-func (p *JoinedPipeline[R, K]) HistogramE() ([]KeyCount[K], error) {
-	return p.c.histogramE("HistogramE")
-}
-
-// TopK returns the k join keys with the most rows, counted without
-// materializing them; see Pipeline.TopK.
-func (p *JoinedPipeline[R, K]) TopK(k int) []KeyCount[K] {
-	out, err := p.c.topKE("TopK", k)
-	mustCall(err)
-	return out
-}
-
-// TopKE is TopK with an error return for cancellable pipelines; see
-// Pipeline.RunE for the contract.
-func (p *JoinedPipeline[R, K]) TopKE(k int) ([]KeyCount[K], error) { return p.c.topKE("TopKE", k) }
-
-// CountDistinct returns the number of join keys with at least one row,
-// counted without materializing rows; see Pipeline.CountDistinct.
-func (p *JoinedPipeline[R, K]) CountDistinct() int64 {
-	n, err := p.c.countDistinctE("CountDistinct")
-	mustCall(err)
-	return n
-}
-
-// CountDistinctE is CountDistinct with an error return for cancellable
-// pipelines; see Pipeline.RunE for the contract.
-func (p *JoinedPipeline[R, K]) CountDistinctE() (int64, error) {
-	return p.c.countDistinctE("CountDistinctE")
-}
-
-// Stats returns the per-stage statistics of a WithStats pipeline, covering
-// the pre-join stages of the originating Query too (the record is shared
-// across the join); see Pipeline.Stats.
-func (p *JoinedPipeline[R, K]) Stats() []StageStats { return p.c.stageStats() }
-
-// pipeCore is the pipeline machinery shared by Pipeline and JoinedPipeline:
-// the data with everything upstream already knows about it (plane), or a
-// not-yet-materialized staged join (pend). It deliberately has no join
-// method — the fluent wrappers add those where the type system permits.
+// pipeCore is the pipeline machinery behind every pipeline: the data with
+// everything upstream already knows about it (plane), or a
+// not-yet-materialized staged join (pend). A Query pipeline and its joins
+// run it over the caller's records, a string pipeline over its span plane
+// (arenaPipe). It deliberately has no join method (see pipeEngine).
 type pipeCore[R, K any] struct {
 	cfg  core.Config
 	data []R
@@ -374,11 +352,21 @@ type pipeCore[R, K any] struct {
 	used      bool
 	fault     error // a stage faulted; later stages no-op and the terminal reports it
 
-	// stages, armed by Query when WithStats is present, accumulates one
+	// stages, armed by newCore when WithStats is present, accumulates one
 	// StageStats per stage/terminal in execution order. A pointer to a
 	// shared slice (not the slice itself) so a join's new pipeCore keeps
 	// appending to the same record, and Stats() reads it after the terminal.
 	stages *[]StageStats
+}
+
+// newCore starts a pipeline's core over data, arming the per-stage record
+// when cfg carries WithStats.
+func newCore[R, K any](cfg core.Config, data []R, key func(R) K, hash func(K) uint64, eq func(K, K) bool) pipeCore[R, K] {
+	c := pipeCore[R, K]{cfg: cfg, data: data, key: key, hash: hash, eq: eq}
+	if cfg.Stats != nil {
+		c.stages = new([]StageStats)
+	}
+	return c
 }
 
 // pendingJoin is a join whose materialization is deferred until a terminal

@@ -75,8 +75,9 @@ type Registry = obs.Registry
 // quantities), the leaf base-case mix, and per-phase wall time. The counters
 // are kept in padded per-worker shards and merged into s once when the call
 // ends, so the enabled path stays alloc-free; without the option the engine
-// pays one nil check per flush point. On Query pipelines the option also
-// arms per-stage recording — read it back with Stats() after the terminal.
+// pays one nil check per flush point. On a pipeline (Query, QueryStr,
+// QueryKeyed) the option also arms per-stage recording — read it back with
+// Stats() after the terminal.
 func WithStats(s *CallStats) Option {
 	return func(c *core.Config) { c.Stats = s }
 }

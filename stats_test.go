@@ -1,6 +1,8 @@
 package semisort_test
 
 import (
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -114,6 +116,33 @@ func TestWithStatsPipelineStages(t *testing.T) {
 		if st.Stats.HashCalls != 0 {
 			t.Fatalf("stage %s re-hashed %d records", st.Op, st.Stats.HashCalls)
 		}
+	}
+
+	// A string pipeline records its stages the same way over its span
+	// plane: the Dedup folds into the counting join, and the join's and
+	// the terminal's entries sum to the total.
+	evs := strCorpus(rand.New(rand.NewSource(45)), 30000, 2000)
+	var strTotal semisort.CallStats
+	jp := semisort.QueryStr(evs[:20000], eventURL, semisort.WithStats(&strTotal)).
+		Dedup().JoinEq(evs[20000:], eventURL)
+	if top := jp.TopK(5); len(top) != 5 {
+		t.Fatalf("string pipeline TopK(5) returned %d keys", len(top))
+	}
+	strStages := jp.Stats()
+	strOps := make([]string, len(strStages))
+	var strSum semisort.CallStats
+	for i, st := range strStages {
+		strOps[i] = st.Op
+		strSum.Add(st.Stats)
+	}
+	if !slices.Equal(strOps, []string{"JoinEq", "TopK"}) {
+		t.Fatalf("string pipeline stage ops = %v, want [JoinEq TopK]", strOps)
+	}
+	if strSum != strTotal {
+		t.Fatalf("string pipeline per-stage sum %+v != total %+v", strSum, strTotal)
+	}
+	if strTotal.Classified < int64(len(evs)) {
+		t.Fatalf("string pipeline Classified = %d, want >= %d (both sides classified)", strTotal.Classified, len(evs))
 	}
 }
 

@@ -171,6 +171,44 @@ type ixRec[R any] struct {
 	I int32
 }
 
+// streamBase carries the surface every stream shares, over the stream's
+// batcher: R is the submitted record and O its per-record outcome — a
+// DedupStream's DedupKept, a TopKStream's struct{}, a JoinStream's []T.
+type streamBase[R, O any] struct {
+	b *stream.Batcher[R, O]
+}
+
+// Submit enqueues one record (a JoinStream's probe record); see Batcher
+// semantics in the package docs: the returned channel delivers exactly one
+// StreamResult — the record's outcome once its batch commits (a
+// DedupStream's DedupKept, a TopKStream's zero-value acknowledgement, a
+// JoinStream's join matches, possibly empty), or a typed error (*BatchError
+// for a faulted flush, ErrQueueFull on a shedding stream's full queue,
+// ErrStreamClosed after Close). Blocking streams apply backpressure here.
+func (s *streamBase[R, O]) Submit(r R) <-chan StreamResult[O] { return s.b.Submit(r) }
+
+// SubmitCtx is Submit with ctx bounding the wait for queue space.
+func (s *streamBase[R, O]) SubmitCtx(ctx context.Context, r R) <-chan StreamResult[O] {
+	return s.b.SubmitCtx(ctx, r)
+}
+
+// Close drains the queue, flushes the final partial batch, settles every
+// outstanding result channel, stops the flusher goroutine, and returns
+// the stream's first flush error (nil if every flush committed).
+func (s *streamBase[R, O]) Close() error { return s.b.Close() }
+
+// Flushes reports how many flushes have started; Faults how many failed
+// after retries. Observability counters, monotone.
+func (s *streamBase[R, O]) Flushes() int64 { return s.b.Flushes() }
+
+// Faults reports how many flushes failed after exhausting retries.
+func (s *streamBase[R, O]) Faults() int64 { return s.b.Faults() }
+
+// Metrics snapshots the stream's batcher counters (queue depth and high
+// water, per-reason flush tallies, batch size and commit latency
+// histograms) lock-free; see StreamMetrics.
+func (s *streamBase[R, O]) Metrics() StreamMetrics { return s.b.Metrics() }
+
 // DedupKept is the per-record outcome of a DedupStream: whether this
 // record is the first occurrence of its key across every committed batch
 // (and within its own batch), and the total distinct-key count after its
@@ -188,9 +226,9 @@ type DedupKept struct {
 // first occurrences are probed against the persistent seen-set, and the
 // new keys are committed only after the driver call returned cleanly.
 type DedupStream[R, K any] struct {
+	streamBase[R, DedupKept]
 	mu   sync.RWMutex
 	seen *stream.SeenSet[K]
-	b    *stream.Batcher[R, DedupKept]
 }
 
 // NewDedupStream creates a streaming dedup/count-distinct over key/hash/eq
@@ -279,18 +317,6 @@ func dedupHashed[R, K any](a []R, key func(R) K, hash func(K) uint64, eq func(K,
 	return out, hs, nil
 }
 
-// Submit enqueues one record; see Batcher semantics in the package docs:
-// the returned channel delivers exactly one StreamResult — the record's
-// DedupKept outcome, or a typed error (*BatchError for a faulted flush,
-// ErrQueueFull on a shedding stream's full queue, ErrStreamClosed after
-// Close). Blocking streams apply backpressure here.
-func (s *DedupStream[R, K]) Submit(r R) <-chan StreamResult[DedupKept] { return s.b.Submit(r) }
-
-// SubmitCtx is Submit with ctx bounding the wait for queue space.
-func (s *DedupStream[R, K]) SubmitCtx(ctx context.Context, r R) <-chan StreamResult[DedupKept] {
-	return s.b.SubmitCtx(ctx, r)
-}
-
 // Distinct returns the number of distinct keys across all committed
 // batches.
 func (s *DedupStream[R, K]) Distinct() int64 {
@@ -298,23 +324,6 @@ func (s *DedupStream[R, K]) Distinct() int64 {
 	defer s.mu.RUnlock()
 	return s.seen.Len()
 }
-
-// Close drains the queue, flushes the final partial batch, settles every
-// outstanding result channel, stops the flusher goroutine, and returns
-// the stream's first flush error (nil if every flush committed).
-func (s *DedupStream[R, K]) Close() error { return s.b.Close() }
-
-// Flushes reports how many flushes have started; Faults how many failed
-// after retries. Observability counters, monotone.
-func (s *DedupStream[R, K]) Flushes() int64 { return s.b.Flushes() }
-
-// Faults reports how many flushes failed after exhausting retries.
-func (s *DedupStream[R, K]) Faults() int64 { return s.b.Faults() }
-
-// Metrics snapshots the stream's batcher counters (queue depth and high
-// water, per-reason flush tallies, batch size and commit latency
-// histograms) lock-free; see StreamMetrics.
-func (s *DedupStream[R, K]) Metrics() StreamMetrics { return s.b.Metrics() }
 
 // KeyWeight is one entry of a streaming top-k: a key and its current —
 // possibly decayed — weight. With no decay the weight is the key's exact
@@ -330,9 +339,9 @@ type KeyWeight[K any] struct {
 // sketch by epoch commit. Submitted records are acknowledged per item;
 // TopK answers queries at any time from committed state only.
 type TopKStream[R, K any] struct {
+	streamBase[R, struct{}]
 	mu  sync.RWMutex
 	sk  *stream.CountSketch[K]
-	b   *stream.Batcher[R, struct{}]
 	key func(R) K
 }
 
@@ -382,15 +391,6 @@ func NewTopKStream[R, K any](key func(R) K, hash func(K) uint64, eq func(K, K) b
 	return ts
 }
 
-// Submit enqueues one record; the result channel acknowledges the record's
-// batch (zero value on commit, typed error on fault/shed/closed).
-func (s *TopKStream[R, K]) Submit(r R) <-chan StreamResult[struct{}] { return s.b.Submit(r) }
-
-// SubmitCtx is Submit with ctx bounding the wait for queue space.
-func (s *TopKStream[R, K]) SubmitCtx(ctx context.Context, r R) <-chan StreamResult[struct{}] {
-	return s.b.SubmitCtx(ctx, r)
-}
-
 // TopK returns the k heaviest keys over the committed batches, weight
 // descending (ties by first appearance). In-flight batches are not
 // included — queries only ever observe committed epochs.
@@ -412,29 +412,15 @@ func (s *TopKStream[R, K]) Tracked() int {
 	return s.sk.Len()
 }
 
-// Close drains, flushes the final partial batch, settles every result
-// channel, and stops the flusher; see DedupStream.Close.
-func (s *TopKStream[R, K]) Close() error { return s.b.Close() }
-
-// Flushes reports how many flushes have started.
-func (s *TopKStream[R, K]) Flushes() int64 { return s.b.Flushes() }
-
-// Faults reports how many flushes failed after exhausting retries.
-func (s *TopKStream[R, K]) Faults() int64 { return s.b.Faults() }
-
-// Metrics snapshots the stream's batcher counters lock-free; see
-// StreamMetrics.
-func (s *TopKStream[R, K]) Metrics() StreamMetrics { return s.b.Metrics() }
-
 // JoinStream is incremental JoinEq against a retained build side: build
 // records accumulate in a persistent hash index (committed by epoch, via
 // AddBuild), and every submitted probe record is joined against the build
 // side as committed at its flush. Where one-shot JoinEq re-partitions both
 // relations every call, the stream pays for each build record once.
 type JoinStream[R, S, K, T any] struct {
+	streamBase[R, []T]
 	mu   sync.RWMutex
 	bt   *stream.BuildTable[S]
-	b    *stream.Batcher[R, []T]
 	keyB func(S) K
 	hash func(K) uint64
 }
@@ -508,27 +494,3 @@ func (s *JoinStream[R, S, K, T]) BuildLen() int {
 	defer s.mu.RUnlock()
 	return s.bt.Len()
 }
-
-// Submit enqueues one probe record; its result channel delivers the
-// record's join matches (possibly empty) once its batch commits, or a
-// typed error.
-func (s *JoinStream[R, S, K, T]) Submit(r R) <-chan StreamResult[[]T] { return s.b.Submit(r) }
-
-// SubmitCtx is Submit with ctx bounding the wait for queue space.
-func (s *JoinStream[R, S, K, T]) SubmitCtx(ctx context.Context, r R) <-chan StreamResult[[]T] {
-	return s.b.SubmitCtx(ctx, r)
-}
-
-// Close drains, flushes, settles every result channel, and stops the
-// flusher; see DedupStream.Close.
-func (s *JoinStream[R, S, K, T]) Close() error { return s.b.Close() }
-
-// Flushes reports how many flushes have started.
-func (s *JoinStream[R, S, K, T]) Flushes() int64 { return s.b.Flushes() }
-
-// Faults reports how many flushes failed after exhausting retries.
-func (s *JoinStream[R, S, K, T]) Faults() int64 { return s.b.Faults() }
-
-// Metrics snapshots the stream's batcher counters lock-free; see
-// StreamMetrics.
-func (s *JoinStream[R, S, K, T]) Metrics() StreamMetrics { return s.b.Metrics() }

@@ -8,7 +8,7 @@ import (
 // internal/strkey): string- and []byte-keyed forms of the core ops that
 // materialize every key exactly once per call into a pooled, length-prefixed
 // byte arena and then run the unmodified distribution engines over an
-// index/span plane — 12 bytes moved per record per level regardless of key
+// index/span plane — 16 bytes moved per record per level regardless of key
 // length, 8-byte spans in every heavy table and leaf slot, and full key
 // bytes touched only by the digest-gated equality fallthrough. Compared to
 // instantiating the generic ops at K = string, the arena path avoids moving

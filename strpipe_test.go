@@ -1,9 +1,11 @@
 package semisort_test
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	semisort "repro"
@@ -129,6 +131,77 @@ func TestStrPipelineJoin(t *testing.T) {
 	}
 	if int64(len(dedupRows)) != wantDedup {
 		t.Fatalf("Dedup.JoinEq: %d rows, want %d", len(dedupRows), wantDedup)
+	}
+
+	// JoinEqP with a string pipeline on either side or on both: the right
+	// side runs to its records, and the join matches JoinEq over them.
+	query := func(rs []event) *semisort.Pipeline[event, string] {
+		return semisort.Query(rs, eventURL, semisort.HashString, func(x, y string) bool { return x == y })
+	}
+	str := func(rs []event) *semisort.Pipeline[event, string] { return semisort.QueryStr(rs, eventURL) }
+	for _, tc := range []struct {
+		name        string
+		left, right func([]event) *semisort.Pipeline[event, string]
+	}{
+		{"Query.JoinEqP(QueryStr)", query, str},
+		{"QueryStr.JoinEqP(Query)", str, query},
+		{"QueryStr.JoinEqP(QueryStr)", str, str},
+	} {
+		right := tc.right(dims).Dedup().Run()
+		want := sortedRows(tc.left(evs).JoinEq(right, eventURL).Run())
+		got := sortedRows(tc.left(evs).JoinEqP(tc.right(dims).Dedup()).Run())
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d rows, want the %d rows of JoinEq on the right side's records", tc.name, len(got), len(want))
+		}
+		wantN := tc.left(evs).JoinEq(right, eventURL).CountDistinct()
+		if n := tc.left(evs).JoinEqP(tc.right(dims).Dedup()).CountDistinct(); n != wantN || n != int64(len(matched)) {
+			t.Fatalf("%s: CountDistinct = %d, want %d (JoinEq) and %d matched keys", tc.name, n, wantN, len(matched))
+		}
+	}
+}
+
+// sortedRows orders joined events by their sides' sequence numbers, so row
+// sets compare independently of emission order.
+func sortedRows(rows []semisort.Joined[event]) []semisort.Joined[event] {
+	slices.SortFunc(rows, func(x, y semisort.Joined[event]) int {
+		return cmp.Or(cmp.Compare(x.Left.Seq, y.Left.Seq), cmp.Compare(x.Right.Seq, y.Right.Seq))
+	})
+	return rows
+}
+
+// TestStrPipelineJoinEqPFault: a fault of JoinEqP's right side rides into
+// the join and is reported at its terminal, whichever side is the string
+// pipeline, and both pipelines come out consumed.
+func TestStrPipelineJoinEqPFault(t *testing.T) {
+	evs := strCorpus(rand.New(rand.NewSource(25)), 20000, 300)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eq := func(x, y string) bool { return x == y }
+	for _, tc := range []struct {
+		name        string
+		left, right *semisort.Pipeline[event, string]
+	}{
+		{"Query.JoinEqP(QueryStr)", semisort.Query(evs, eventURL, semisort.HashString, eq),
+			semisort.QueryStr(evs, eventURL, semisort.WithContext(ctx))},
+		{"QueryStr.JoinEqP(Query)", semisort.QueryStr(evs, eventURL),
+			semisort.Query(evs, eventURL, semisort.HashString, eq, semisort.WithContext(ctx)).Sort()},
+		{"QueryStr.JoinEqP(QueryStr)", semisort.QueryStr(evs, eventURL),
+			semisort.QueryStr(evs, eventURL, semisort.WithContext(ctx))},
+	} {
+		jp := tc.left.JoinEqP(tc.right)
+		if _, err := jp.HistogramE(); err == nil {
+			t.Fatalf("%s: a cancelled right side returned no error", tc.name)
+		}
+		for _, p := range []*semisort.Pipeline[event, string]{tc.left, tc.right} {
+			func() {
+				defer func() {
+					if _, ok := recover().(*semisort.PipelineConsumedError); !ok {
+						t.Fatalf("%s: a side was not consumed by the join", tc.name)
+					}
+				}()
+				p.Run()
+			}()
+		}
 	}
 }
 
