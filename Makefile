@@ -33,9 +33,11 @@ test:
 ## key plane's parallel Build and pooled-buffer recycling. internal/obs
 ## covers the counter-shard sink's concurrent flushers and the registry's
 ## concurrent snapshots. The root package rides along for the call-guard,
-## pipeline, and streaming-state fault paths.
+## pipeline, and streaming-state fault paths. -p 1 runs one race binary at a
+## time: the internal/rel binary alone peaks near 6 GB, so two side by side
+## can exhaust an 8 GB host.
 race:
-	$(GO) test -race ./internal/parallel ./internal/core ./internal/sampling ./internal/dist ./internal/collect ./internal/rel ./internal/strkey ./internal/chaos ./internal/stream ./internal/obs .
+	$(GO) test -race -p 1 ./internal/parallel ./internal/core ./internal/sampling ./internal/dist ./internal/collect ./internal/rel ./internal/strkey ./internal/chaos ./internal/stream ./internal/obs .
 
 ## examples: build and run every example. Each one checks its own result
 ## and panics on a mismatch, so a wrong answer fails the target.

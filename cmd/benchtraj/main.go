@@ -26,6 +26,7 @@ import (
 	"maps"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -123,7 +124,7 @@ func write() error {
 	if err != nil {
 		return err
 	}
-	traj := trajectory{Commit: commit(), Seed: seed, RunSeconds: bm.RunSeconds,
+	traj := trajectory{Commit: commit("."), Seed: seed, RunSeconds: bm.RunSeconds,
 		RunsPerCell: runsPerCell, Columns: map[int]column{}}
 	for _, w := range slices.Compact([]int{1, len(cpus)}) {
 		cells, host := measure(bm, cpus[:w])
@@ -191,7 +192,7 @@ func check() error {
 	}
 	rows, failures := compare(bm.EndToEnd, workloads, committed, measured)
 	fmt.Printf("%s (commit %s, seed %d, %g s, median of %d runs) against commit %s\n",
-		trajectoryFile, committed.Commit, committed.Seed, committed.RunSeconds, committed.RunsPerCell, commit())
+		trajectoryFile, committed.Commit, committed.Seed, committed.RunSeconds, committed.RunsPerCell, commit("."))
 	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workers\tworkload\tmetric\tcommitted\tmeasured\tlimit\tverdict")
 	for _, r := range rows {
@@ -383,14 +384,66 @@ func allowedCPUs() ([]string, error) {
 	return cpus, nil
 }
 
-// commit names the checked-out commit, marked -dirty when tracked files
-// differ from it.
-func commit() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output()
+// commit names the tree in the repository at dir: the checked-out commit,
+// followed by -dirty-tree- and 12 hex digits of the work tree's hash when
+// that differs from the commit's tree. The work tree is what a commit of
+// every change and every file .gitignore does not exclude would record, so
+// a new untracked file makes the name dirty too. It is taken through a
+// temporary index and a temporary object directory, so neither the real
+// index nor the object store changes.
+func commit(dir string) string {
+	name, err := git(dir, nil, "describe", "--always", "--abbrev=12")
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	tree, err := worktreeTree(dir)
+	if err != nil || len(tree) < 12 {
+		return name + "-tree-unknown"
+	}
+	if head, err := git(dir, nil, "rev-parse", "HEAD^{tree}"); err != nil || head != tree {
+		name += "-dirty-tree-" + tree[:12]
+	}
+	return name
+}
+
+// worktreeTree returns the hash of dir's work tree: HEAD's tree read into
+// a temporary index, then git add -A and git write-tree there. The objects
+// these write go to a temporary directory, with the repository's own
+// object store as an alternate to read HEAD from.
+func worktreeTree(dir string) (string, error) {
+	objects, err := git(dir, nil, "rev-parse", "--git-path", "objects")
+	if err != nil {
+		return "", err
+	}
+	if !filepath.IsAbs(objects) {
+		objects = filepath.Join(dir, objects)
+	}
+	tmp, err := os.MkdirTemp("", "benchtraj-index-")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(tmp)
+	env := []string{
+		"GIT_INDEX_FILE=" + filepath.Join(tmp, "index"),
+		"GIT_OBJECT_DIRECTORY=" + tmp,
+		"GIT_ALTERNATE_OBJECT_DIRECTORIES=" + objects,
+	}
+	for _, args := range [][]string{{"read-tree", "HEAD"}, {"add", "-A"}} {
+		if _, err := git(dir, env, args...); err != nil {
+			return "", err
+		}
+	}
+	return git(dir, env, "write-tree")
+}
+
+// git runs one git command in dir with env added to the environment and
+// returns its trimmed standard output.
+func git(dir string, env []string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
+	out, err := cmd.Output()
+	return strings.TrimSpace(string(out)), err
 }
 
 func readJSON(path string, v any) error {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -132,5 +135,69 @@ func TestCompareFailsFailedOperationsAndRuns(t *testing.T) {
 		if len(failures) != 1 || !strings.Contains(failures[0], "u64-zipf at 2 workers") {
 			t.Errorf("%s: failures %q, want one naming the cell", name, failures)
 		}
+	}
+}
+
+// TestCommitNamesDirtyTree: a clean checkout is named by its commit; a
+// dirty one also by the hash of the tree a commit of every change would
+// record, which is checked by then making that commit. A new untracked file
+// alone makes the tree dirty; an ignored one does not. Naming the tree must
+// leave the real index and the object store as they were.
+func TestCommitNamesDirtyTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	run := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-c", "user.name=bench", "-c", "user.email=bench@example.org"}, args...)
+		out, err := git(dir, nil, args...)
+		if err != nil {
+			t.Fatalf("git %v: %v", args, err)
+		}
+		return out
+	}
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("init", "-q")
+	write("a.txt", "one\n")
+	write(".gitignore", "ignored.txt\n")
+	run("add", "-A")
+	run("commit", "-qm", "one")
+
+	for _, step := range []struct {
+		name  string
+		files map[string]string
+	}{
+		{"untracked only", map[string]string{"b.txt": "new\n"}},
+		{"tracked and untracked", map[string]string{"a.txt": "two\n", "c.txt": "new\n", "ignored.txt": "not measured\n"}},
+	} {
+		head := run("rev-parse", "--short=12", "HEAD")
+		if got := commit(dir); got != head {
+			t.Fatalf("%s: clean tree named %q, want %q", step.name, got, head)
+		}
+		for name, body := range step.files {
+			write(name, body)
+		}
+		objects := run("count-objects", "-v")
+		got := commit(dir)
+		if staged := run("diff", "--cached", "--name-only"); staged != "" {
+			t.Fatalf("%s: naming the tree staged %q in the real index", step.name, staged)
+		}
+		if after := run("count-objects", "-v"); after != objects {
+			t.Fatalf("%s: naming the tree changed the object store from\n%s\nto\n%s", step.name, objects, after)
+		}
+		run("add", "-A")
+		run("commit", "-qm", step.name)
+		if want := head + "-dirty-tree-" + run("rev-parse", "HEAD^{tree}")[:12]; got != want {
+			t.Fatalf("%s: dirty tree named %q, want %q", step.name, got, want)
+		}
+	}
+	if got, want := commit(dir), run("rev-parse", "--short=12", "HEAD"); got != want {
+		t.Fatalf("tree with only an ignored file changed named %q, want %q", got, want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // These tests assert the paper's *qualitative* performance claims with
 // generous margins, so a regression that flips an ordering (for example,
 // losing the heavy-key optimization) fails CI even though absolute timings
-// vary by machine. They use modest inputs and a single warm measurement.
+// vary by machine. They use modest inputs and warm measurements.
 
 const shapeN = 2_000_000
 
@@ -29,10 +29,25 @@ func TestShapeOursBeatsGSSB(t *testing.T) {
 		t.Skip("timing-sensitive")
 	}
 	// Paper: Ours is ~3.4x faster than GSSB on average; require >= 2x on a
-	// skewed input.
+	// skewed input. The two sides run in alternating rounds and each side's
+	// fastest round counts, so a burst of host load during one side's
+	// rounds cannot decide the comparison.
 	data := Make64(shapeN, dist.Spec{Kind: dist.Zipfian, Param: 1.2}, 1)
-	ours := timeAlgo("Ours=", data)
-	gssb := timeAlgo("GSSB", data)
+	work := make([]P64, len(data))
+	fastest := func(name string, best time.Duration) time.Duration {
+		parallel.Copy(work, data)
+		start := time.Now()
+		Run64(name, work)
+		if d := time.Since(start); best == 0 || d < best {
+			return d
+		}
+		return best
+	}
+	var ours, gssb time.Duration
+	for range 4 {
+		ours = fastest("Ours=", ours)
+		gssb = fastest("GSSB", gssb)
+	}
 	if gssb < 2*ours {
 		t.Fatalf("GSSB (%v) should be >=2x slower than Ours= (%v)", gssb, ours)
 	}

@@ -3,6 +3,7 @@ package parallel_test
 import (
 	"runtime"
 	"runtime/metrics"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -19,8 +20,10 @@ func heapAllocBytes() uint64 {
 // TestArenaSurvivesGC: the byte classes are held across garbage
 // collections, so a call on a warmed runtime still finds its O(n) scratch
 // after two GCs (which empty every sync.Pool). SortEq then allocates next
-// to nothing, and Dedup and Histogram allocate their output plus a fixed
-// slack; with sync.Pool free lists each call re-allocated over 40 B/rec.
+// to nothing, and Dedup, Histogram and JoinEqStr allocate their output plus
+// a fixed slack; with sync.Pool free lists each call re-allocated over
+// 40 B/rec. JoinEqStr always builds the flat string-key plane, whose block
+// arenas grow through parallel.GrowBuf.
 func TestArenaSurvivesGC(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation bounds are meaningless under -race instrumentation")
@@ -76,5 +79,22 @@ func TestArenaSurvivesGC(t *testing.T) {
 	if want := uint64(len(hist))*uint64(unsafe.Sizeof(hist[0])) + slack; got > want {
 		t.Errorf("Histogram after GC: %d B (%.2f B/rec), want at most its %d-key output plus %d B",
 			got, float64(got)/n, len(hist), slack)
+	}
+
+	type srec struct {
+		K string
+		V uint64
+	}
+	strs := make([]srec, n)
+	for i, r := range in {
+		strs[i] = srec{K: "https://example.org/item/" + strconv.FormatUint(r.K, 36), V: r.V}
+	}
+	skey := func(r srec) string { return r.K }
+	pair := func(a, b srec) [2]uint64 { return [2]uint64{a.V, b.V} }
+	var rows [][2]uint64
+	got = afterGC(nop, func() { rows = semisort.JoinEqStr(strs, strs[:n/8], skey, skey, pair, o) })
+	if want := uint64(len(rows))*uint64(unsafe.Sizeof(rows[0])) + slack; got > want {
+		t.Errorf("JoinEqStr after GC: %d B (%.2f B/rec), want at most its %d-row output plus %d B",
+			got, float64(got)/n, len(rows), slack)
 	}
 }

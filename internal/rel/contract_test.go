@@ -191,6 +191,39 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestCountingJoinBaseAcrossWorkers pins the whole-call base case of a
+// counting join against a dimension of alpha>>4 rows, whose probe side is
+// longer than SerialCutoff: the counts must match the reference and each
+// other at 1 and 2 workers, with the hash run once per record.
+func TestCountingJoinBaseAcrossWorkers(t *testing.T) {
+	as := uniformRecs(2*core.SerialCutoff+777, 51)
+	dim := uniformRecs(1<<10, 52)
+	for i := range dim {
+		dim[i].key = as[7*i].key // about one key in 128 of as matches
+	}
+	for _, pres := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+		var want []collect.KV[uint64, int64]
+		for _, p := range []int{1, 2} {
+			rt := parallel.NewRuntime(p)
+			var st obs.CallStats
+			cfg := core.Config{Runtime: rt, Seed: 3, Stats: &st}
+			got := JoinCount(as, nil, dim, nil, recKey, recKey, hashMix, eqU64, pres[0], pres[1], cfg)
+			rt.Close()
+			if ref := countRef(as, dim, pres[0], pres[1]); !slicesEqual(sortedByKey(got), ref) {
+				t.Fatalf("presence %v, %d workers: %d KVs differ from the %d reference KVs", pres, p, len(got), len(ref))
+			}
+			if st.HashCalls != int64(len(as)+len(dim)) {
+				t.Errorf("presence %v, %d workers: HashCalls = %d, want %d", pres, p, st.HashCalls, len(as)+len(dim))
+			}
+			if want == nil {
+				want = got
+			} else if !slicesEqual(got, want) {
+				t.Fatalf("presence %v: counts differ between 1 and %d workers", pres, p)
+			}
+		}
+	}
+}
+
 func slicesEqual[T comparable](a, b []T) bool {
 	if len(a) != len(b) {
 		return false

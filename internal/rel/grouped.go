@@ -172,7 +172,7 @@ func matchGroups[X, Y, K any](x []X, bx []int32, keyX func(X) K, y []Y, by []int
 	c := core.BuildChains(sc, bx[:gx], hx, headX, dx.Eq())
 	heads := parallel.GetBuf[int32](sc, gy)
 	core.Lookup(c, bx[:gx], headX, by[:gy], hy, headY, dx.Eq(), heads.S)
-	pairs := parallel.GetBuf[[2]int32](sc, 0)
+	pairs := parallel.GetBuf[[2]int32](sc, gy) // at most one pair per y group
 	ps := pairs.S[:0]
 	for g, xg := range heads.S {
 		if xg >= 0 {

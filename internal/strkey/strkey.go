@@ -76,6 +76,9 @@ const (
 
 	// maxRecs matches the generic engines' record ceiling.
 	maxRecs = 1<<31 - 1
+
+	// keyHint is Build's first arena lease per record, in bytes.
+	keyHint = 16
 )
 
 // AppendKey materializes r's key bytes onto dst and returns the extended
@@ -195,10 +198,16 @@ func (p *Plane) Release() {
 
 // Build materializes a's keys into the plane's relation slot and digests
 // each one in the same pass, while its bytes are cache-hot. appendKey and
-// hash are each called exactly once per record. Each block's pooled buffer
-// IS that arena block — no staging, no copy — and blocks are small enough
-// (~8K records) to settle into stable pool size classes, so steady-state
-// builds append within capacity and never regrow. The Rec and digest arrays
+// hash are each called exactly once per record. Each block's arena (~8K
+// records) is a byte-class lease that a GC does not empty — no staging, no
+// copy. The first lease assumes keyHint bytes per record. Once the headroom
+// falls below the block's longest key so far, capped at a quarter of the
+// lease, parallel.GrowBuf moves the block to a lease with room for one more
+// such key; a key longer than the headroom (which append moved to the heap)
+// is copied into a lease of its length. GrowBuf at least doubles, so the
+// copies stay amortized as append's would, and the cap keeps one long key
+// from making every later regrowth reserve its length: a regrown lease is
+// under 3x the bytes written when it is taken. The Rec and digest arrays
 // are filled in input order; results depend only on key bytes, never on
 // span values, so the block partition may follow the worker count.
 func Build[R any](p *Plane, rel int, a []R, appendKey AppendKey[R], hash HashBytes, cfg core.Config) {
@@ -222,13 +231,26 @@ func Build[R any](p *Plane, rel int, a []R, appendKey AppendKey[R], hash HashByt
 	ctx, lg := cfg.Ctx, cfg.Ledger
 	rt.Blocks(n, nBlocks, func(b, lo, hi int) {
 		core.CheckCancel(ctx, lg)
-		bb := parallel.GetBuf[byte](sc, 0)
-		s := bb.S[:0]
+		bb := parallel.GrowBuf[byte](sc, nil, (hi-lo)*keyHint)
+		s := bb.S
 		blk := uint64(rel)<<relShift | uint64(b)<<blkShift
+		longest := 0
 		for i := lo; i < hi; i++ {
+			if cap(s)-len(s) < min(longest, cap(s)/4) {
+				bb.S = s
+				bb = parallel.GrowBuf(sc, bb, len(s)+longest)
+				s = bb.S
+			}
 			off := len(s)
-			s = appendKey(s, a[i])
+			t := appendKey(s, a[i])
+			if len(t) > cap(s) { // append moved the block to the heap
+				bb.S = s
+				bb = parallel.GrowBuf(sc, bb, len(t))
+				t = append(bb.S, t[off:]...)
+			}
+			s = t
 			l := len(s) - off
+			longest = max(longest, l)
 			if l > MaxKeyLen {
 				panic("semisort: variable-length key longer than 2^24-1 bytes")
 			}

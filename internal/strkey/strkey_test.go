@@ -3,9 +3,11 @@ package strkey
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/collect"
 	"repro/internal/core"
@@ -319,6 +321,47 @@ func TestHistogramAllocsPerBlock(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(5, run); got > 64 {
 		t.Errorf("Histogram: %v allocs/op in steady state, want <= 64", got)
+	}
+}
+
+// TestBuildLongFirstKeyArena: a block's arena grows with the bytes it
+// holds, however long its first key. One full Build block (8192 records)
+// whose first key is 64 KB or 1 MB and whose other keys are short, on a
+// fresh runtime so every lease is a fresh allocation: Build may allocate at
+// most 8x the key bytes written plus its Rec and digest arrays and a fixed
+// slack (the 1 MB case measures about 4x), and every span must read its key
+// back.
+func TestBuildLongFirstKeyArena(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation bounds are meaningless under -race instrumentation")
+	}
+	const n = 1 << 13
+	for _, first := range []int{64 << 10, 1 << 20} {
+		a := make([]srec, n)
+		a[0].K = strings.Repeat("x", first)
+		written := first
+		for i := 1; i < n; i++ {
+			a[i] = srec{K: fmt.Sprintf("k%d", i), Seq: int32(i)}
+			written += len(a[i].K)
+		}
+		rt := parallel.NewRuntime(1)
+		var p Plane
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Build(&p, 0, a, srecKey, Bytes, core.Config{Runtime: rt})
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		bound := uint64(8*written + n*int(unsafe.Sizeof(Rec{})+8) + 256<<10)
+		if got > bound {
+			t.Fatalf("first key %d B: Build allocated %d B for %d key bytes, want at most %d", first, got, written, bound)
+		}
+		for i, r := range p.Recs(0) {
+			if k := p.Seg(r.Span); string(k) != a[i].K {
+				t.Fatalf("first key %d B: record %d reads back %d bytes, want %q", first, i, len(k), a[i].K)
+			}
+		}
+		p.Release()
+		rt.Close()
 	}
 }
 
